@@ -1,13 +1,13 @@
-"""Sharded multi-query serving: determinism contract + wall-clock speedup.
+"""Multi-query serving: plan dedup against the tree golden reference.
 
 The fig8 Adult substrate scaled to a serving workload: one complaint case
 per aggregate group of Q6/Q7 (12 cases over 2 distinct plans).  The bench
-pins the two acceptance properties of the serving layer:
+pins the serving layer's acceptance properties, all deterministic:
 
-- removal orders at every worker count are IDENTICAL to the serial loop;
-- the sharded run is at least 2x faster at 4 workers, from plan-fingerprint
-  dedup (C case executions collapse to P distinct-plan executions per
-  iteration, shared probability matrices per result) plus the worker pool.
+- the deduped removal order is IDENTICAL to the ``provenance="tree"``
+  reference, which re-executes every case;
+- the workload has 2 distinct plans, and each iteration runs 2
+  executions and saves the other 10.
 """
 
 from conftest import save_and_print
@@ -18,14 +18,14 @@ from repro.experiments import serving
 def test_bench_sharding(benchmark, out_dir):
     result = benchmark.pedantic(
         serving.run,
-        kwargs={"n_workers_grid": (0, 2, 4), "n_query": 2000,
-                "max_removals": 20},
+        kwargs={"n_query": 2000, "max_removals": 20},
         rounds=1, iterations=1,
     )
     save_and_print(result, out_dir)
 
     for row in result.rows:
-        assert row["order_matches_serial"], row
-    sharded = result.row_lookup(n_workers=4)
-    assert sharded["distinct_plans"] == 2
-    assert sharded["speedup"] >= 2.0, sharded
+        assert row["order_matches_tree"], row
+    deduped = result.row_lookup(provenance="compiled")
+    assert deduped["distinct_plans"] == 2
+    assert deduped["hits"] and all(hits == 10 for hits in deduped["hits"]), deduped
+    assert all(misses == 2 for misses in deduped["misses"]), deduped

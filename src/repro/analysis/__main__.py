@@ -37,8 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.analysis",
         description=(
             "AST-based determinism & invariant linter enforcing the "
-            "parallel-correctness contract (rules DET001-DET004, KNOB001, "
-            "GOLD001)."
+            "determinism contract (rules DET001-DET003, KNOB001, GOLD001)."
         ),
     )
     parser.add_argument(

@@ -1,6 +1,6 @@
 """GOLD001: the golden-path guard.
 
-The repo's parallel-correctness contract is anchored on a handful of
+The repo's determinism contract is anchored on a handful of
 *golden reference* implementations — the tree-walking ILP encoder, the
 ``linprog`` LP backend, the per-record gradient reference, the
 interpreted objective, the serial Rain loop.  Every fast path is pinned

@@ -10,8 +10,8 @@ project check fails if a registered knob is missing from README/docs.
 
 The registry is intentionally dependency-free (stdlib only) so the
 linter can import it without dragging in numpy; consumers keep their own
-validation and error types (:func:`repro.core.sharding.resolve_workers`
-parses and range-checks the raw string this module hands back).
+validation and error types (:func:`repro.ilp.encode.resolve_ilp_encoder`
+checks the raw string this module hands back).
 """
 
 from __future__ import annotations
@@ -112,23 +112,6 @@ def knob_table() -> str:
 # Declared centrally (not at the consumer) so registration happens at
 # import time regardless of which consumer is imported first, and so the
 # analyzer can enumerate the full set without importing the runtime.
-
-N_WORKERS = register(
-    "n_workers",
-    "REPRO_N_WORKERS",
-    "0",
-    "Worker-pool size for sharded multi-query serving; 0 = serial loop.",
-    "repro.core.sharding",
-)
-
-ASYNC_PIPELINE = register(
-    "async_pipeline",
-    "REPRO_ASYNC",
-    "0",
-    "Enable the async pipelined train/execute Rain loop.",
-    "repro.core.sharding",
-    choices=("0", "1"),
-)
 
 ILP_ENCODER = register(
     "ilp_encoder",

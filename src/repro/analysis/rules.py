@@ -1,7 +1,7 @@
 """The initial rule pack: this codebase's real nondeterminism hazards.
 
 Each rule targets a bug class that has actually occurred (or nearly
-occurred) in this repo's parallel-correctness history; see
+occurred) in this repo's determinism history; see
 ``docs/ANALYSIS.md`` for the catalogue with worked examples.
 
 - DET001 — ``id()``-keyed entries in *shared* (attribute / module-level)
@@ -16,9 +16,6 @@ occurred) in this repo's parallel-correctness history; see
 - DET003 — module-level / global RNG (``np.random.shuffle``,
   ``random.random``, argless ``default_rng()``) outside ``experiments/``
   instead of a threaded ``Generator``.
-- DET004 — attribute writes to shared (non-local) objects inside
-  callables handed to ``PipelineState``/thread pools/``run_sharded``
-  without visible lock protection.
 - KNOB001 — direct ``os.environ``/``os.getenv`` reads anywhere but the
   :mod:`repro.analysis.knobs` registry; plus a project check that every
   registered knob is documented in README/docs.
@@ -31,7 +28,6 @@ from pathlib import Path
 
 from .engine import (
     SEVERITY_ERROR,
-    SEVERITY_WARNING,
     FileContext,
     Finding,
     Rule,
@@ -137,8 +133,6 @@ ORDER_SENSITIVE_SINKS = frozenset(
         "add_row",
         "add_complaints",
         "submit",
-        "submit_train",
-        "submit_execute",
         "put",
         "write",
         "writerow",
@@ -330,117 +324,6 @@ class Det003GlobalRng(Rule):
             )
 
 
-class Det004UnsyncedSharedWrite(Rule):
-    rule_id = "DET004"
-    severity = SEVERITY_WARNING
-    node_types = (ast.Call,)
-    doc = (
-        "Attribute write to a shared object inside a callable submitted "
-        "to a thread pool without lock or ordered-merge protection."
-    )
-
-    _SUBMIT_ATTRS = frozenset({"submit", "submit_train", "submit_execute"})
-    _SUBMIT_NAMES = frozenset({"run_sharded"})
-
-    def check(self, node: ast.Call, ctx: FileContext) -> None:
-        target: ast.AST | None = None
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._SUBMIT_ATTRS
-            and node.args
-        ):
-            target = node.args[0]
-        elif (
-            isinstance(node.func, ast.Name)
-            and node.func.id in self._SUBMIT_NAMES
-            and node.args
-        ) or (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._SUBMIT_NAMES
-            and node.args
-        ):
-            target = node.args[0]
-        if target is None:
-            return
-        fn_node = self._resolve_callable(ctx, target)
-        if fn_node is None:
-            return
-        for write in self._unsynced_writes(fn_node):
-            ctx.report(
-                self,
-                write,
-                f"'{_unparse(write)[:60]}' writes a shared attribute inside "
-                "a pool-submitted callable without a lock; merge results on "
-                "the driver (ordered merge) or hold a lock",
-            )
-
-    def _resolve_callable(self, ctx: FileContext, target: ast.AST):
-        if isinstance(target, ast.Lambda):
-            return target
-        name = None
-        if isinstance(target, ast.Name):
-            name = target.id
-        elif isinstance(target, ast.Attribute):
-            name = target.attr
-        if name is None:
-            return None
-        for candidate in ast.walk(ctx.tree):
-            if (
-                isinstance(candidate, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and candidate.name == name
-            ):
-                return candidate
-        return None
-
-    def _unsynced_writes(self, fn_node) -> list[ast.AST]:
-        body = fn_node.body if not isinstance(fn_node, ast.Lambda) else [fn_node.body]
-        local_names: set[str] = set()
-        if not isinstance(fn_node, ast.Lambda):
-            for stmt in body:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Name) and isinstance(
-                        sub.ctx, ast.Store
-                    ):
-                        local_names.add(sub.id)
-        writes: list[ast.AST] = []
-        locked_ranges: list[tuple[int, int]] = []
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                if isinstance(sub, (ast.With, ast.AsyncWith)):
-                    for item in sub.items:
-                        if "lock" in _unparse(item.context_expr).lower():
-                            locked_ranges.append(
-                                (sub.lineno, sub.end_lineno or sub.lineno)
-                            )
-        for stmt in body:
-            for sub in ast.walk(stmt):
-                targets: list[ast.AST] = []
-                if isinstance(sub, ast.Assign):
-                    targets = sub.targets
-                elif isinstance(sub, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [sub.target]
-                for tgt in targets:
-                    for attr in ast.walk(tgt):
-                        if not isinstance(attr, ast.Attribute):
-                            continue
-                        base = attr.value
-                        while isinstance(base, ast.Attribute):
-                            base = base.value
-                        if (
-                            isinstance(base, ast.Name)
-                            and base.id in local_names
-                        ):
-                            continue  # worker-private object
-                        line = attr.lineno
-                        if any(
-                            start <= line <= end
-                            for start, end in locked_ranges
-                        ):
-                            continue
-                        writes.append(attr)
-        return writes
-
-
 class Knob001DirectEnvRead(Rule):
     rule_id = "KNOB001"
     severity = SEVERITY_ERROR
@@ -519,6 +402,5 @@ ALL_RULES: list[type[Rule]] = [
     Det001IdKeyedSharedContainer,
     Det002UnorderedIteration,
     Det003GlobalRng,
-    Det004UnsyncedSharedWrite,
     Knob001DirectEnvRead,
 ]

@@ -5,14 +5,14 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run fig3 --out results/
     python -m repro.cli run all --out results/
-    python -m repro.cli serve --workers 4 --check
+    python -m repro.cli serve --check
     python -m repro.cli lint --strict
 
-``serve`` runs the sharded multi-query serving layer on the multi-case
-Adult workload (one complaint case per aggregate group of Q6/Q7): it
-reports the per-stage timing breakdown and the execute stage's plan-dedup
-stats, and ``--check`` re-runs serially to verify the determinism
-contract (sharded removal orders identical to the serial loop).
+``serve`` runs Rain on the multi-case Adult serving workload (one
+complaint case per aggregate group of Q6/Q7): it reports the per-stage
+timing breakdown and the execute stage's plan-dedup stats, and
+``--check`` re-runs on the ``provenance="tree"`` golden reference to
+verify the removal orders are identical.
 
 Each experiment prints its result table (the same tables the benchmark
 suite writes under ``benchmarks/out/``) and optionally saves it.
@@ -25,7 +25,6 @@ import sys
 from collections.abc import Callable
 
 from .experiments import (
-    async_rain,
     fig3_dblp_recall,
     fig4_f1,
     fig5_runtime,
@@ -60,8 +59,7 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "fig11": (fig11_nn.run, "CNN vs logistic debugging (appendix D)"),
     "thm_a1": (thm_a1.run, "Theorem A.1 ambiguity validation"),
     "thm_c1": (thm_c1.run, "Theorem C.1 value-of-complaints validation"),
-    "serving": (serving.run, "Sharded multi-query serving: serial vs workers"),
-    "async": (async_rain.run, "Async pipelined loop vs serial sharded (DBLP)"),
+    "serving": (serving.run, "Multi-query serving: plan dedup vs tree reference"),
     "ilp_encode": (ilp_encode.run, "Tree vs array-lowered ILP encode (fig6 joins)"),
     "sweep": (scenario_sweep.run, "ENRON/Adult corruption-rate encode/solve sweep"),
 }
@@ -79,11 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="directory for result tables")
     run.add_argument("--seed", type=int, default=0)
     serve = sub.add_parser(
-        "serve", help="sharded multi-query serving on the Adult workload"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker pool size (default: REPRO_N_WORKERS, else 0 = serial)",
+        "serve", help="multi-query serving on the Adult workload"
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--n-train", type=int, default=300)
@@ -91,13 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--flip-fraction", type=float, default=0.5)
     serve.add_argument("--max-removals", type=int, default=20)
     serve.add_argument(
-        "--async-pipeline", action="store_true", default=None,
-        help="pipeline train/execute of the next iteration against the "
-             "current drain (default: REPRO_ASYNC, else off)",
-    )
-    serve.add_argument(
         "--check", action="store_true",
-        help="re-run serially and verify the removal orders are identical",
+        help="re-run with tree provenance and verify the removal orders "
+             "are identical",
     )
     sub.add_parser(
         "lint",
@@ -120,7 +110,7 @@ def _serve(args) -> int:
     )
     initial_params = setting.model.get_params()
 
-    def run_once(n_workers, async_pipeline):
+    def run_once(provenance):
         setting.model.set_params(initial_params)
         debugger = RainDebugger(
             setting.database,
@@ -130,31 +120,30 @@ def _serve(args) -> int:
             setting.cases,
             method="holistic",
             rng=args.seed,
-            n_workers=n_workers,
-            async_pipeline=async_pipeline,
+            provenance=provenance,
         )
         return debugger.run(max_removals=args.max_removals)
 
-    report = run_once(args.workers, args.async_pipeline)
+    report = run_once("compiled")
     print(f"served {len(setting.cases)} complaint cases "
           f"over {setting.n_distinct_plans} distinct plans")
     for record in report.iterations:
         cache = record.diagnostics.get("execute_cache")
         if cache:
             print(f"iteration {record.iteration}: "
-                  f"{cache['cache_misses']} executions for "
+                  f"{cache['misses']} executions for "
                   f"{cache['n_cases']} cases "
-                  f"({cache['cache_hits']} cache hits)")
+                  f"({cache['hits']} saved)")
     for label, total in sorted(report.timings.items()):
         print(f"{label:>8}: {total:.3f}s")
     print(f"removal order ({len(report.removal_order)}): "
           f"{report.removal_order}")
     if args.check:
-        serial = run_once(0, False)
-        if serial.removal_order != report.removal_order:
-            print("DETERMINISM CHECK FAILED: sharded != serial removal order")
+        tree = run_once("tree")
+        if tree.removal_order != report.removal_order:
+            print("DETERMINISM CHECK FAILED: deduped != tree removal order")
             return 1
-        print("determinism check passed: sharded == serial removal order")
+        print("determinism check passed: deduped == tree removal order")
     return 0
 
 

@@ -6,7 +6,6 @@ from .complaint import (
     PredictionComplaint,
     TupleComplaint,
     ValueComplaint,
-    all_satisfied,
     all_satisfied_columnar,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "PredictionComplaint",
     "TupleComplaint",
     "ValueComplaint",
-    "all_satisfied",
     "all_satisfied_columnar",
 ]

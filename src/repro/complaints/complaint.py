@@ -196,15 +196,6 @@ class ComplaintCase:
             raise ComplaintError("a complaint case needs at least one complaint")
 
 
-def all_satisfied(case_results: list[tuple[ComplaintCase, QueryResult]]) -> bool:
-    """True when every complaint in every case is resolved."""
-    return all(
-        complaint.is_satisfied(result)
-        for case, result in case_results
-        for complaint in case.complaints
-    )
-
-
 def _complaint_node(complaint: Complaint, result: QueryResult) -> int | None:
     """The compiled node id a complaint's satisfaction depends on.
 
@@ -257,20 +248,17 @@ def _value_satisfied(complaint: Complaint, value: float) -> bool:
 def all_satisfied_columnar(
     case_results: list[tuple[ComplaintCase, QueryResult]]
 ) -> bool:
-    """Columnar :func:`all_satisfied` for compiled results.
+    """True when every complaint in every case is resolved.
 
-    The tree path materializes every complained-about cell's expression
-    tree from the node pool before evaluating it — at serving scale that
-    costs as much as executing the query again.  Here all complaint node
-    ids over one result are evaluated in a single vectorized discrete
-    forward pass (:class:`~repro.relational.compile.CompiledProvenance`
-    over the already-frozen pool), with the same per-complaint
-    satisfaction predicates applied to the root values.  Prediction
-    complaints and tree-mode results fall back to the per-complaint path.
-
-    Used by the async pipeline's drain stage; the serial loop keeps the
-    tree-walking reference, and the determinism harness pins the two to
-    identical satisfied flags.
+    Walking each complaint's ``is_satisfied`` materializes every
+    complained-about cell's expression tree from the node pool before
+    evaluating it — at serving scale that costs as much as executing the
+    query again.  Here all complaint node ids over one result are
+    evaluated in a single vectorized discrete forward pass
+    (:class:`~repro.relational.compile.CompiledProvenance` over the
+    result's pool), with the same per-complaint satisfaction predicates
+    applied to the root values.  Prediction complaints and tree-mode
+    results fall back to the per-complaint ``is_satisfied``.
     """
     from ..relational.compile import CompiledProvenance
 

@@ -9,16 +9,6 @@ from .metrics import (
 )
 from .interventions import RelabelDebugger
 from .rain import DebugReport, IterationRecord, RainDebugger
-from .sharding import (
-    ExecuteStats,
-    PipelineState,
-    execute_cases,
-    fixed_shards,
-    resolve_async,
-    resolve_workers,
-    run_sharded,
-    spawn_generators,
-)
 from .rankers import (
     HolisticRanker,
     InfLossRanker,
@@ -40,14 +30,6 @@ __all__ = [
     "IterationRecord",
     "RainDebugger",
     "RelabelDebugger",
-    "ExecuteStats",
-    "PipelineState",
-    "execute_cases",
-    "fixed_shards",
-    "resolve_async",
-    "resolve_workers",
-    "run_sharded",
-    "spawn_generators",
     "HolisticRanker",
     "InfLossRanker",
     "IterationContext",

@@ -27,38 +27,14 @@ The ``method="auto"`` heuristic matches Section 5.1: probe the TwoStep ILP
 for the number of optimal solutions; if the fix is unique, use TwoStep,
 otherwise use Holistic.
 
-Multi-query serving: with ``n_workers >= 1`` (or ``REPRO_N_WORKERS`` set)
-the execute stage dedupes executions by plan fingerprint — each distinct
-query runs once per iteration and its compiled provenance pool is frozen
-once and shared across all cases over that plan — and shard-aware rankers
-fan per-case encode/solve work out to a thread pool
-(:mod:`~repro.core.sharding`).  Worker count never changes removal
-orders: shard partitions are worker-invariant and the run RNG is only
-consumed on the driver thread in case order.  ``provenance="tree"`` is
-the golden reference path and always runs serially.
-
-Async pipeline: with ``async_pipeline=True`` (or ``REPRO_ASYNC=1``) each
-iteration is an explicit stage graph — train and execute run on a
-dedicated FIFO stage thread (:class:`~repro.core.sharding.PipelineState`)
-while the driver ranks, selects, and drains iteration ``k``'s deferred
-diagnostics.  The stage chain ``train(k) → execute(k) → rank(k) →
-select(k) → train(k+1)`` is strict (the next refit needs the top-k
-deletion), so the overlap comes from within-stage decomposition:
-
-- complaint *satisfaction* (``all_satisfied`` materializes provenance
-  trees and never touches the model) is pure diagnostics when
-  ``stop_when_satisfied=False``, so it is deferred and evaluated while
-  the stage thread is already refitting and re-executing for ``k+1``;
-- complaint-free rankers (Loss, InfLoss — ``uses_case_results=False``)
-  rank on the driver concurrently with the execute stage, which they
-  only need for the satisfied flag.
-
-Removal orders stay bit-identical to the serial loop at every worker
-count: stages never consume the run RNG, the FIFO stage thread orders
-every model mutation exactly as the serial loop does, and iteration
-``k+1`` is only prefetched when the loop will actually continue (so the
-final fitted parameters match too).  ``provenance="tree"`` pins the
-pipeline off, exactly like it pins the worker pool.
+Execute dedup: each iteration runs every *distinct* plan once (keyed by
+plan fingerprint through :class:`~repro.relational.executor.ExecutionCache`)
+and shares the debug result across all cases over that plan.  A compiled
+debug result is a pure function of (plan, data, θ), so sharing it never
+changes an answer; ``provenance="tree"`` is the golden reference path and
+re-executes per case.  The complaint drain evaluates every complaint node
+over one result in a single vectorized pass
+(:func:`~repro.complaints.complaint.all_satisfied_columnar`).
 """
 
 from __future__ import annotations
@@ -67,22 +43,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..complaints.complaint import (
-    ComplaintCase,
-    all_satisfied,
-    all_satisfied_columnar,
-)
+from ..complaints.complaint import ComplaintCase, all_satisfied_columnar
 from ..errors import DebuggingError, ILPError
 from ..ilp.encode import make_encoder
 from ..ilp.solver import enumerate_optima
 from ..influence.functions import InfluenceAnalyzer, PerSampleGradCache
-from ..relational.algebra import Plan
-from ..relational.executor import Executor, QueryResult
+from ..relational.algebra import Plan, plan_fingerprint
+from ..relational.executor import ExecutionCache, Executor, QueryResult
 from ..relational.schema import Database
 from ..relational.sql import plan_sql
 from ..utils import Stopwatch, argsort_desc, as_rng
 from .rankers import IterationContext, Ranker, WarmStartState, make_ranker
-from .sharding import PipelineState, execute_cases, resolve_async, resolve_workers
 
 
 @dataclass
@@ -143,9 +114,6 @@ class RainDebugger:
         cg_tol: float = 1e-8,
         warm_start_cg: bool = True,
         provenance: str = "compiled",
-        n_workers: int | None = None,
-        shard: str = "cases",
-        async_pipeline: bool | None = None,
     ) -> None:
         if not cases and method in ("auto", "twostep", "holistic"):
             raise DebuggingError(
@@ -177,29 +145,13 @@ class RainDebugger:
                 f"provenance must be 'compiled' or 'tree', got {provenance!r}"
             )
         self.provenance = provenance
-        if shard != "cases":
-            raise DebuggingError(
-                f"shard must be 'cases' (the only supported axis), got {shard!r}"
-            )
-        self.shard = shard
-        # Sharded serving: 0 = the serial loop (untouched), >= 1 = the
-        # worker-pool path (None defers to REPRO_N_WORKERS).  The tree
-        # representation is the golden reference and never shares or
-        # dedupes executions, so it pins the worker count to 0.
-        self.n_workers = resolve_workers(n_workers)
-        # Async pipeline: False = the serial loop (untouched), True = the
-        # stage-graph loop (None defers to REPRO_ASYNC).  Tree provenance
-        # pins both knobs off — it is the golden reference path.
-        self.async_pipeline = resolve_async(async_pipeline)
-        if self.provenance == "tree":
-            self.n_workers = 0
-            self.async_pipeline = False
         # Per-sample gradients survive across iterations while θ* is
         # unchanged; top-k deletions only slice rows out of the cached matrix.
         self._grad_cache = PerSampleGradCache()
 
         self.executor = Executor(database)
         self._plans: list[Plan] = [self._resolve_plan(case.query) for case in cases]
+        self._fingerprints = [plan_fingerprint(plan) for plan in self._plans]
 
     def _resolve_plan(self, query) -> Plan:
         if isinstance(query, Plan):
@@ -253,11 +205,9 @@ class RainDebugger:
             )
         method = self.choose_method()
         ranker = make_ranker(method, **self.ranker_kwargs)
-        if self.async_pipeline:
-            return self._run_async(method, ranker, max_removals, k_per_iteration)
         return self._run_serial(method, ranker, max_removals, k_per_iteration)
 
-    # -- shared stage helpers ---------------------------------------------------------
+    # -- stage helpers ----------------------------------------------------------------
 
     def _train_stage(self, X_active: np.ndarray, y_active: np.ndarray) -> None:
         self.model.fit(
@@ -267,29 +217,21 @@ class RainDebugger:
             **self.fit_kwargs,
         )
 
-    def _execute_stage(self):
-        """One execute stage: every case's debug result, plus dedup stats."""
-        if self.n_workers >= 1:
-            # Sharded serving: one execution per distinct plan fingerprint,
-            # shared across its cases; distinct plans run on the worker pool.
-            return execute_cases(
-                self.executor,
-                self.cases,
-                self._plans,
-                self.provenance,
-                self.n_workers,
+    def _execute_stage(self) -> tuple[list[tuple[ComplaintCase, QueryResult]], dict]:
+        """Every case's debug result, each distinct plan executed once."""
+        cache = ExecutionCache(self.executor, provenance=self.provenance)
+        case_results = [
+            (case, cache.fetch(plan, fingerprint=fingerprint))
+            for case, plan, fingerprint in zip(
+                self.cases, self._plans, self._fingerprints
             )
-        case_results: list[tuple[ComplaintCase, QueryResult]] = []
-        for case, plan in zip(self.cases, self._plans):
-            case_results.append(
-                (
-                    case,
-                    self.executor.execute(
-                        plan, debug=True, provenance=self.provenance
-                    ),
-                )
-            )
-        return case_results, None
+        ]
+        stats = {
+            "n_cases": len(self.cases),
+            "n_distinct_plans": len(set(self._fingerprints)),
+            **cache.stats(),
+        }
+        return case_results, stats
 
     def _make_context(
         self, X_active, y_active, active, case_results, watch, warm, execute_stats
@@ -307,10 +249,8 @@ class RainDebugger:
             rng=self.rng,
             watch=watch,
             warm_start=warm,
-            n_workers=self.n_workers,
         )
-        if execute_stats is not None:
-            context.diagnostics["execute_cache"] = execute_stats.as_dict()
+        context.diagnostics["execute_cache"] = execute_stats
         return context
 
     def _select_top(
@@ -334,7 +274,7 @@ class RainDebugger:
                 warm.block = None
         return removed, np.delete(active, top_positions)
 
-    # -- the serial loop (the golden reference order of effects) -------------------
+    # -- the loop ---------------------------------------------------------------------
 
     def _run_serial(
         self, method: str, ranker: Ranker, max_removals: int, k_per_iteration: int
@@ -361,7 +301,7 @@ class RainDebugger:
             with watch.time("execute"):
                 case_results, execute_stats = self._execute_stage()
 
-            satisfied = bool(case_results) and all_satisfied(case_results)
+            satisfied = bool(case_results) and all_satisfied_columnar(case_results)
             if self.stop_when_satisfied and satisfied:
                 stopped_reason = "complaints_satisfied"
                 iterations.append(
@@ -406,159 +346,6 @@ class RainDebugger:
             if active.size == 0:
                 stopped_reason = "exhausted"
                 break
-
-        return DebugReport(
-            method=method,
-            removal_order=removal_order,
-            iterations=iterations,
-            timings=watch.as_dict(),
-            stopped_reason=stopped_reason,
-        )
-
-    # -- the async pipelined loop ---------------------------------------------------
-
-    def _run_async(
-        self, method: str, ranker: Ranker, max_removals: int, k_per_iteration: int
-    ) -> DebugReport:
-        """The stage-graph loop: same effects as :meth:`_run_serial`, pipelined.
-
-        A dedicated FIFO stage thread runs ``train(k) → execute(k) →
-        train(k+1) → …`` while the driver ranks and selects.  Three
-        overlaps, all invisible to the removal order:
-
-        - iteration ``k``'s complaint-satisfaction check (pure provenance
-          evaluation) is deferred until after the ``k+1`` prefetch is
-          submitted, so it runs while the stage thread refits;
-        - complaint-free rankers (``uses_case_results=False``) rank on the
-          driver while ``execute(k)`` is still in flight — both only read
-          the iteration-``k`` parameters;
-        - ``train(k+1)``/``execute(k+1)`` start as soon as the top-k is
-          known, before iteration ``k``'s record is even assembled.
-
-        ``stop_when_satisfied=True`` degrades gracefully: the satisfied
-        check must gate ranking, so it is evaluated synchronously and only
-        the prefetch overlap remains.  Per-iteration ``timings`` diffs
-        blur across overlapped stages here; the report-level totals stay
-        exact per stage.
-        """
-        watch = Stopwatch()
-        warm = WarmStartState() if self.warm_start_cg else None
-        active = np.arange(self.X_train.shape[0])
-        removal_order: list[int] = []
-        iterations: list[IterationRecord] = []
-        stopped_reason = "budget"
-        iteration = 0
-
-        def train_stage(X_active, y_active):
-            with watch.time("train"):
-                self._train_stage(X_active, y_active)
-
-        def execute_stage():
-            with watch.time("execute"):
-                return self._execute_stage()
-
-        with PipelineState(grad_cache=self._grad_cache, warm_start=warm) as pipe:
-            train_future = pipe.submit_train(
-                train_stage, self.X_train[active], self.y_train[active]
-            )
-            execute_future = pipe.submit_execute(execute_stage)
-
-            while len(removal_order) < max_removals:
-                iteration += 1
-                before = watch.as_dict()
-                X_active = self.X_train[active]
-                y_active = self.y_train[active]
-                train_future.result()  # θ_k ready; execute(k) may still run
-
-                executed = None
-                if ranker.uses_case_results or self.stop_when_satisfied:
-                    executed = execute_future.result()
-
-                if self.stop_when_satisfied:
-                    case_results, _ = executed
-                    if bool(case_results) and all_satisfied_columnar(case_results):
-                        stopped_reason = "complaints_satisfied"
-                        iterations.append(
-                            IterationRecord(iteration, [], True, {}, {})
-                        )
-                        break
-
-                case_results, execute_stats = (
-                    executed if executed is not None else ([], None)
-                )
-                context = self._make_context(
-                    X_active, y_active, active, case_results, watch, warm,
-                    execute_stats,
-                )
-                scores = np.asarray(ranker.scores(context), dtype=np.float64)
-                if scores.shape != (active.shape[0],):
-                    raise DebuggingError(
-                        f"ranker returned {scores.shape}, expected "
-                        f"({active.shape[0]},)"
-                    )
-
-                if np.allclose(scores, scores[0]):
-                    stopped_reason = "no_signal"
-                    if executed is None:
-                        executed = execute_future.result()
-                        case_results, execute_stats = executed
-                        if execute_stats is not None:
-                            context.diagnostics["execute_cache"] = (
-                                execute_stats.as_dict()
-                            )
-                    satisfied = bool(case_results) and all_satisfied_columnar(case_results)
-                    iterations.append(
-                        IterationRecord(
-                            iteration, [], satisfied, dict(context.diagnostics), {}
-                        )
-                    )
-                    break
-
-                removed, active = self._select_top(
-                    scores, active, warm, removal_order, max_removals,
-                    k_per_iteration,
-                )
-
-                # Prefetch iteration k+1 only when the loop will continue, so
-                # the final fitted parameters match the serial loop exactly.
-                will_continue = (
-                    len(removal_order) < max_removals and active.size > 0
-                )
-                next_train = next_execute = None
-                if will_continue:
-                    next_train = pipe.submit_train(
-                        train_stage, self.X_train[active], self.y_train[active]
-                    )
-                    next_execute = pipe.submit_execute(execute_stage)
-
-                # Drain iteration k's deferred diagnostics, overlapping the
-                # prefetch: all_satisfied materializes provenance trees from
-                # k's results and never calls the model, so it is safe while
-                # train(k+1) mutates θ on the stage thread.
-                if executed is None:
-                    executed = execute_future.result()
-                    case_results, execute_stats = executed
-                    if execute_stats is not None:
-                        context.diagnostics["execute_cache"] = (
-                            execute_stats.as_dict()
-                        )
-                satisfied = bool(case_results) and all_satisfied_columnar(case_results)
-
-                after = watch.as_dict()
-                step_timings = {
-                    label: after.get(label, 0.0) - before.get(label, 0.0)
-                    for label in after
-                }
-                iterations.append(
-                    IterationRecord(
-                        iteration, removed, satisfied,
-                        dict(context.diagnostics), step_timings,
-                    )
-                )
-                if not will_continue and active.size == 0:
-                    stopped_reason = "exhausted"
-                    break
-                train_future, execute_future = next_train, next_execute
 
         return DebugReport(
             method=method,

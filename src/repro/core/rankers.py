@@ -12,8 +12,9 @@ Holistic) and ``rank`` (the CG solve + per-record gradient dot products).
 
 Batched-solve conventions: InfLoss issues ONE block CG solve for all active
 records (``solver="scalar"`` keeps the paper's per-record loop as the slow
-reference); Holistic with ``per_query_solves=True`` solves every complaint
-case's objective in one block solve and sums the per-case score rows.  When
+reference); Holistic evaluates one probability matrix per distinct query
+result, and with ``per_query_solves=True`` solves every complaint case's
+objective in one block solve and sums the per-case score rows.  When
 the driver supplies a :class:`WarmStartState` (RainDebugger does by
 default), rankers seed CG with the previous iteration's solutions and write
 the new ones back — θ* barely moves after a top-k deletion, so warm solves
@@ -32,13 +33,8 @@ from ..ilp.encode import make_encoder
 from ..ilp.solver import enumerate_optima, pick_solution
 from ..influence.functions import InfluenceAnalyzer, q_grad_for_target_predictions
 from ..relational.executor import QueryResult
-from ..relaxation.objective import (
-    RelaxedComplaintObjective,
-    batched_case_objectives,
-    batched_q_and_grads,
-)
+from ..relaxation.objective import batched_case_objectives, batched_q_and_grads
 from ..utils import Stopwatch
-from .sharding import fixed_shards, run_sharded
 
 
 @dataclass
@@ -53,8 +49,7 @@ class WarmStartState:
     Holistic's ``per_query_solves`` path, one row per complaint case, kept
     aligned with the case list via :meth:`drop_cases` when a case is pruned
     mid-run.  Rankers read these as CG starting points and write the new
-    solutions back in place; the sharded serving path row-slices ``q_block``
-    per solve shard and writes the merged rows back in case order.
+    solutions back in place.
 
     Warm starts are accelerators, not state the results depend on: every
     consumer shape-checks before seeding, and any stale array degrades to a
@@ -104,14 +99,7 @@ class WarmStartState:
 
 @dataclass
 class IterationContext:
-    """Everything a ranker may need for one train-rank-fix iteration.
-
-    ``n_workers`` is the serving layer's worker-pool size: ``0`` keeps
-    every ranker on its serial code path; ``>= 1`` lets shard-aware
-    rankers fan per-case work out to threads.  Worker count never changes
-    scores — shard partitions are worker-invariant and all RNG consumption
-    stays on the driver thread in case order.
-    """
+    """Everything a ranker may need for one train-rank-fix iteration."""
 
     model: object
     X_active: np.ndarray
@@ -122,18 +110,12 @@ class IterationContext:
     watch: Stopwatch
     diagnostics: dict = field(default_factory=dict)
     warm_start: WarmStartState | None = None
-    n_workers: int = 0
 
 
 class Ranker:
     """Interface: one score per active training record, higher = remove first."""
 
     name = "ranker"
-    #: Whether :meth:`scores` reads ``ctx.case_results``.  Complaint-free
-    #: baselines (Loss, InfLoss) rank from the training set alone; the
-    #: async pipeline uses this to run their rank stage on the driver
-    #: while the execute stage is still in flight on the stage thread.
-    uses_case_results = True
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         raise NotImplementedError
@@ -143,7 +125,6 @@ class LossRanker(Ranker):
     """Rank by training loss, highest first (the Loss baseline)."""
 
     name = "loss"
-    uses_case_results = False
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("rank"):
@@ -162,7 +143,6 @@ class InfLossRanker(Ranker):
     """
 
     name = "infloss"
-    uses_case_results = False
 
     def __init__(self, max_records: int | None = None, solver: str = "block") -> None:
         if solver not in ("block", "scalar"):
@@ -202,52 +182,22 @@ class HolisticRanker(Ranker):
     per-case score rows are summed (Eq. 4 is linear in ``∇q``, so this
     matches the summed-gradient solve) and recorded in the iteration
     diagnostics for per-query attribution.  The default sums the gradients
-    first and issues one scalar solve — the paper's formulation.
-
-    Serving-layer sharding: when the context carries ``n_workers >= 1``
-    the per-case relaxation sweeps fan out to the worker pool (cases
-    sharing a query result also share one probability-matrix evaluation),
-    and ``solve_shard_size=k`` splits the per-case block-CG rows into
-    fixed-size shards solved per worker, each warm-started from its slice
-    of ``q_block``.  The shard partition depends only on the case count —
-    never on ``n_workers`` — because splitting a GEMM by columns changes
-    output bits; with a worker-invariant partition every worker count
-    produces identical scores (and the serial ``n_workers=0`` loop runs
-    the very same shard solves in order).
+    first and issues one scalar solve — the paper's formulation.  Cases
+    sharing a query result share one probability-matrix evaluation.
     """
 
     name = "holistic"
 
-    def __init__(
-        self,
-        per_query_solves: bool = False,
-        solve_shard_size: int | None = None,
-    ) -> None:
-        if solve_shard_size is not None and solve_shard_size <= 0:
-            raise DebuggingError(
-                f"solve_shard_size must be positive, got {solve_shard_size}"
-            )
+    def __init__(self, per_query_solves: bool = False) -> None:
         self.per_query_solves = bool(per_query_solves)
-        self.solve_shard_size = solve_shard_size
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("encode"):
-            if ctx.n_workers >= 1:
-                objectives = batched_case_objectives(ctx.case_results)
-                q_values, q_grads = batched_q_and_grads(
-                    objectives, n_workers=ctx.n_workers
-                )
-                q_total = 0.0
-                for q_value in q_values:
-                    q_total += q_value
-            else:
-                q_grads = []
-                q_total = 0.0
-                for case, result in ctx.case_results:
-                    objective = RelaxedComplaintObjective(result, case.complaints)
-                    q_value, q_grad = objective.q_and_grad_theta()
-                    q_grads.append(q_grad)
-                    q_total += q_value
+            objectives = batched_case_objectives(ctx.case_results)
+            q_values, q_grads = batched_q_and_grads(objectives)
+            q_total = 0.0
+            for q_value in q_values:
+                q_total += q_value
             ctx.diagnostics["q_value"] = q_total
         with ctx.watch.time("rank"):
             warm = ctx.warm_start
@@ -270,37 +220,16 @@ class HolisticRanker(Ranker):
         rows: np.ndarray,
         warm: WarmStartState | None,
     ) -> np.ndarray:
-        """The (n_cases, n_active) per-case score matrix, possibly sharded."""
+        """The (n_cases, n_active) per-case score matrix."""
         n_cases = rows.shape[0]
         warm_rows = (
             None if warm is None else warm.q_block_for(n_cases, ctx.model.n_params)
         )
-        if self.solve_shard_size is None or n_cases <= self.solve_shard_size:
-            per_case = ctx.analyzer.scores_from_q_grads(rows, X0=warm_rows)
-            if warm is not None:
-                block = ctx.analyzer.last_block_cg_result
-                if block is not None:
-                    warm.q_block = block.X.T
-            return per_case
-
-        # Fixed-size row shards (worker-invariant partition); one spawned
-        # analyzer per shard so per-shard CG diagnostics don't race.  The
-        # shared gradient cache is prewarmed on the driver thread first.
-        shards = fixed_shards(n_cases, self.solve_shard_size)
-        ctx.analyzer.per_sample_grads()
-
-        def solve_shard(shard: np.ndarray):
-            analyzer = ctx.analyzer.spawn()
-            X0 = None if warm_rows is None else warm_rows[shard]
-            scores = analyzer.scores_from_q_grads(rows[shard], X0=X0)
-            return scores, analyzer.last_block_cg_result
-
-        outputs = run_sharded(solve_shard, shards, ctx.n_workers)
-        per_case = np.vstack([scores for scores, _ in outputs])
-        blocks = [block for _, block in outputs]
-        if warm is not None and all(block is not None for block in blocks):
-            warm.q_block = np.vstack([block.X.T for block in blocks])
-        ctx.diagnostics["solve_shards"] = len(shards)
+        per_case = ctx.analyzer.scores_from_q_grads(rows, X0=warm_rows)
+        if warm is not None:
+            block = ctx.analyzer.last_block_cg_result
+            if block is not None:
+                warm.q_block = block.X.T
         return per_case
 
 
@@ -374,22 +303,15 @@ class TwoStepRanker(Ranker):
     ) -> list[tuple[QueryResult, int, object]]:
         """(result, site_id, target_label) across all complaint cases.
 
-        Sharding note: with ``ctx.n_workers >= 1`` the per-case ILP
-        enumerations run on the worker pool — they are deterministic pure
-        solves over (already frozen) shared provenance — but the "opaque
-        solver pick" among each case's tied optima stays on the driver
-        thread, consuming ``ctx.rng`` strictly in case order.  The picked
-        solutions, and therefore the marked sites, are identical at every
-        worker count.
+        The "opaque solver pick" among each case's tied optima consumes
+        ``ctx.rng`` in case order.
         """
-        enumerations = run_sharded(
-            self._enumerate_case, list(ctx.case_results), ctx.n_workers
-        )
         marked: list[tuple[QueryResult, int, object]] = []
         total_ambiguity = 1
-        for (case, result), (direct_marks, direct_sites, encoder, solutions) in zip(
-            ctx.case_results, enumerations
-        ):
+        for case, result in ctx.case_results:
+            direct_marks, direct_sites, encoder, solutions = self._enumerate_case(
+                case, result
+            )
             marked.extend(direct_marks)
             if solutions is None:
                 continue
@@ -401,9 +323,8 @@ class TwoStepRanker(Ranker):
         ctx.diagnostics["ambiguity"] = total_ambiguity
         return marked
 
-    def _enumerate_case(self, case_result: tuple[ComplaintCase, QueryResult]):
+    def _enumerate_case(self, case: ComplaintCase, result: QueryResult):
         """One case's direct marks plus its enumerated ILP optima (or None)."""
-        case, result = case_result
         direct = [
             c for c in case.complaints if isinstance(c, PredictionComplaint)
         ]

@@ -172,18 +172,12 @@ def run_method(
     reset_params: np.ndarray | None = None,
     cg_max_iter: int | None = None,
     provenance: str = "compiled",
-    n_workers: int | None = None,
-    async_pipeline: bool | None = None,
 ):
     """Run one approach; optionally reset the shared model's params first.
 
     The model object inside the database is shared across approaches within
     an experiment, so each run restores the initial fitted parameters before
     its own train-rank-fix loop (warm starts then proceed from there).
-    ``n_workers`` feeds the sharded serving layer (``None`` defers to
-    ``REPRO_N_WORKERS``; worker count never changes removal orders), and
-    ``async_pipeline`` the pipelined loop (``None`` defers to
-    ``REPRO_ASYNC``; also order-preserving).
     """
     model = setting_database.model(model_name)
     if reset_params is not None:
@@ -200,8 +194,6 @@ def run_method(
         ranker_kwargs=ranker_kwargs or {},
         cg_max_iter=cg_max_iter,
         provenance=provenance,
-        n_workers=n_workers,
-        async_pipeline=async_pipeline,
     )
     return debugger.run(max_removals=max_removals, k_per_iteration=k_per_iteration)
 
@@ -220,8 +212,6 @@ def compare_methods(
     damping: float = 1e-4,
     ranker_kwargs_by_method: dict | None = None,
     cg_max_iter: int | None = None,
-    n_workers: int | None = None,
-    async_pipeline: bool | None = None,
 ) -> dict[str, dict]:
     """Run several approaches on one setting; returns per-method summaries."""
     ranker_kwargs_by_method = ranker_kwargs_by_method or {}
@@ -245,8 +235,6 @@ def compare_methods(
             ranker_kwargs=ranker_kwargs_by_method.get(method),
             reset_params=initial_params,
             cg_max_iter=cg_max_iter,
-            n_workers=n_workers,
-            async_pipeline=async_pipeline,
         )
         curve = recall_curve(report.removal_order, corrupted_indices)
         out[method] = {

@@ -33,16 +33,7 @@ def run(
     n_query: int = 300,
     iterations: int = 3,
     seed: int = 0,
-    n_workers: int | None = None,
-    async_pipeline: bool | None = None,
 ) -> ExperimentResult:
-    """``n_workers``/``async_pipeline`` feed the serving layer unchanged.
-
-    With ``async_pipeline`` the per-iteration stage attribution blurs
-    (train/execute accrue on the stage thread concurrently with rank), but
-    the totals — and the removal orders — stay exact; the per-method
-    *totals* comparison against the serial run is the pipelining win.
-    """
     setting = build_dblp_setting(0.5, n_train=n_train, n_query=n_query, seed=seed)
     initial_params = setting.model.get_params()
     result = ExperimentResult("fig5_runtime")
@@ -58,8 +49,6 @@ def run(
             k_per_iteration=10,
             seed=seed,
             reset_params=initial_params,
-            n_workers=n_workers,
-            async_pipeline=async_pipeline,
         )
         n_iters = max(1, len([r for r in report.iterations if r.removed]))
         timings = report.timings

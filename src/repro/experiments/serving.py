@@ -1,4 +1,4 @@
-"""Sharded multi-query serving workload (fig8's Adult substrate, scaled out).
+"""Multi-query serving workload (fig8's Adult substrate, scaled out).
 
 The paper's multi-query experiment (Figure 8) serves two complaint cases;
 a serving deployment fields many concurrent complaints — typically several
@@ -8,15 +8,11 @@ aggregate group of Q6 (``GROUP BY gender``) and Q7 (``GROUP BY
 agedecade``), all sharing the income model — many cases, two distinct
 plans.
 
-``run`` measures the serving layer end to end: the serial loop
-(``n_workers=0``) against sharded runs, asserting that removal orders are
-identical (the sharding determinism contract) and reporting the measured
-wall-clock speedup.  The speedup is algorithmic as much as it is
-parallel: the execute stage collapses C case executions into P distinct
-plan executions per iteration (plan-fingerprint dedup), and the encode
-stage evaluates one probability matrix per distinct result instead of one
-per case — wins that hold even on a single core, where threads alone
-could not help.
+``run`` measures the Rain loop's plan dedup end to end: the execute stage
+collapses C case executions into P distinct-plan executions per iteration
+(plan-fingerprint dedup), and Holistic evaluates one probability matrix
+per distinct result instead of one per case.  The ``provenance="tree"``
+golden reference re-executes every case; the removal orders must match.
 """
 
 from __future__ import annotations
@@ -52,20 +48,12 @@ def build_serving_setting(
     n_train: int = 300,
     n_query: int = 2000,
     seed: int = 0,
-    corruption_shards: int | None = None,
 ) -> ServingSetting:
-    """One complaint case per group of Q6 and Q7 — many cases, two plans.
-
-    ``corruption_shards`` optionally samples the corrupted subset with the
-    sharded (``SeedSequence.spawn``) scheme, matching how a parallel
-    ingest pipeline would corrupt; ``None`` keeps the single-stream
-    sampling of the fig8 experiment.
-    """
+    """One complaint case per group of Q6 and Q7 — many cases, two plans."""
     ds = make_adult(n_train=n_train, n_query=n_query, seed=seed)
     predicate = section65_predicate(ds.y_train, ds.age_train, ds.gender_train)
     corruption = corrupt_labels(
-        ds.y_train, predicate, 1, flip_fraction, rng=seed + 1,
-        n_shards=corruption_shards,
+        ds.y_train, predicate, 1, flip_fraction, rng=seed + 1
     )
 
     model = LogisticRegression((0, 1), n_features=ds.X_train.shape[1], l2=1e-3)
@@ -115,35 +103,30 @@ def build_serving_setting(
 
 
 def run(
-    n_workers_grid=(0, 2, 4),
     flip_fraction: float = 0.5,
     n_train: int = 300,
     n_query: int = 2000,
     max_removals: int = 20,
     k_per_iteration: int = 10,
     seed: int = 0,
-    async_pipeline: bool | None = None,
 ) -> ExperimentResult:
-    """Serial vs sharded serving on the multi-case fig8 workload.
+    """The deduped loop against the ``provenance="tree"`` reference.
 
-    One row per worker count: wall-clock seconds, speedup over the serial
-    loop, whether the removal order matched the serial golden order, and
-    the execute stage's plan-dedup hit rate.  ``async_pipeline`` layers
-    the pipelined loop on top of every non-serial row (the ``n_workers=0``
-    baseline row stays fully serial so the golden order is the tree
-    reference).
+    One row per run: wall-clock seconds, whether the removal order matches
+    the tree order, and the execute stage's per-iteration dedup counters
+    (``hits`` are executions saved, ``misses`` executions run).
     """
     setting = build_serving_setting(
         flip_fraction, n_train=n_train, n_query=n_query, seed=seed
     )
     initial_params = setting.model.get_params()
-    result = ExperimentResult("serving_sharded")
+    result = ExperimentResult("serving")
 
     reports = {}
     seconds = {}
-    for n_workers in n_workers_grid:
+    for provenance in ("tree", "compiled"):
         start = time.perf_counter()
-        reports[n_workers] = run_method(
+        reports[provenance] = run_method(
             setting.database,
             "income",
             setting.X_train,
@@ -154,32 +137,28 @@ def run(
             k_per_iteration=k_per_iteration,
             seed=seed,
             reset_params=initial_params,
-            n_workers=n_workers,
-            async_pipeline=False if n_workers == 0 else async_pipeline,
+            provenance=provenance,
         )
-        seconds[n_workers] = time.perf_counter() - start
+        seconds[provenance] = time.perf_counter() - start
 
-    serial_workers = n_workers_grid[0]
-    serial_order = reports[serial_workers].removal_order
-    for n_workers in n_workers_grid:
-        report = reports[n_workers]
-        cache = {}
-        for record in report.iterations:
-            cache = record.diagnostics.get("execute_cache", cache)
+    tree_order = reports["tree"].removal_order
+    for provenance in ("compiled", "tree"):
+        report = reports[provenance]
+        caches = [record.diagnostics["execute_cache"] for record in report.iterations]
         result.rows.append(
             {
-                "n_workers": n_workers,
+                "provenance": provenance,
                 "n_cases": len(setting.cases),
-                "distinct_plans": cache.get("n_distinct_plans"),
-                "seconds": seconds[n_workers],
-                "speedup": seconds[serial_workers] / seconds[n_workers],
-                "order_matches_serial": report.removal_order == serial_order,
+                "distinct_plans": caches[0]["n_distinct_plans"],
+                "hits": [cache["hits"] for cache in caches],
+                "misses": [cache["misses"] for cache in caches],
+                "seconds": seconds[provenance],
+                "order_matches_tree": report.removal_order == tree_order,
             }
         )
-        result.series[f"removal_order@{n_workers}w"] = report.removal_order
+        result.series[f"removal_order/{provenance}"] = report.removal_order
     result.notes.append(
-        "orders must match at every worker count (sharding determinism "
-        "contract); speedup combines plan-fingerprint dedup with the "
-        "worker pool."
+        "hits/misses per iteration: executions saved and run; the compiled "
+        "run executes each distinct plan once, the tree reference every case."
     )
     return result

@@ -115,26 +115,6 @@ class InfluenceAnalyzer:
         self.last_cg_results: list[CGResult] = []
         self.last_block_cg_result: BlockCGResult | None = None
 
-    def spawn(self) -> "InfluenceAnalyzer":
-        """An independent analyzer over the same data and settings.
-
-        The serving layer spawns one per solve shard so concurrent block
-        solves don't race on the parent's CG diagnostics.  The per-sample
-        gradient cache is shared (callers prewarm it on the driver thread
-        via :meth:`per_sample_grads` before fanning out, making later
-        lookups pure reads).
-        """
-        return InfluenceAnalyzer(
-            self.model,
-            self.X_train,
-            self.y_train,
-            damping=self.damping,
-            cg_tol=self.cg_tol,
-            cg_max_iter=self.cg_max_iter,
-            grad_cache=self.grad_cache,
-            row_ids=self.row_ids,
-        )
-
     # -- core ------------------------------------------------------------------
 
     def inverse_hvp(self, v: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:

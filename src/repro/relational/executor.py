@@ -1047,10 +1047,10 @@ def _hashable(value):
 class ExecutionCache:
     """Per-iteration debug-execution cache keyed by plan fingerprint.
 
-    The serving layer executes each *distinct* plan once per train-rank-fix
+    The Rain loop executes each *distinct* plan once per train-rank-fix
     iteration and shares the resulting :class:`QueryResult` — including its
-    frozen compiled :class:`~repro.relational.compile.NodePool` — across
-    every complaint case over that plan.  Sharing is semantically
+    compiled :class:`~repro.relational.compile.NodePool` — across every
+    complaint case over that plan.  Sharing is semantically
     transparent: a compiled debug result is a pure function of
     (plan, data, model parameters), complaint-side consumers only *read*
     node ids out of the pool, and each case still builds its own
@@ -1061,8 +1061,9 @@ class ExecutionCache:
     is the golden reference path and always re-executes per case.
 
     The cache is scoped to one iteration (model parameters change every
-    iteration), so the driver constructs a fresh one per loop step and
-    accumulates ``hits``/``misses`` for the iteration diagnostics.
+    iteration), so the driver constructs a fresh one per loop step.
+    ``misses`` counts executions and ``hits`` the executions saved; both
+    land in the iteration diagnostics via :meth:`stats`.
     """
 
     def __init__(self, executor: Executor, provenance: str = "compiled") -> None:
@@ -1072,9 +1073,6 @@ class ExecutionCache:
         self._results: dict[str, QueryResult] = {}
         self.hits = 0
         self.misses = 0
-
-    def fingerprint(self, plan: Plan) -> str:
-        return plan_fingerprint(plan)
 
     def fetch(self, plan: Plan, fingerprint: str | None = None) -> QueryResult:
         """The debug-mode result for ``plan``, executed at most once."""
@@ -1090,10 +1088,6 @@ class ExecutionCache:
             return cached
         self.misses += 1
         result = self.executor.execute(plan, debug=True, provenance=self.provenance)
-        if result.pool is not None:
-            # Prewarm the pool-wide tape on the executing thread so the
-            # per-case programs built later only read immutable arrays.
-            result.pool.ensure_frozen()
         self._results[key] = result
         return result
 

@@ -2,12 +2,15 @@
 symbol-table inference, and the ``python -m repro.analysis`` entry point.
 """
 
+import ast
 import textwrap
 
 import pytest
 
 from repro.analysis.engine import (
+    SEVERITY_WARNING,
     Finding,
+    Rule,
     analyze_source,
     load_baseline,
     scan_suppressions,
@@ -169,6 +172,19 @@ class TestSymbolTable:
 # -- CLI ----------------------------------------------------------------------
 
 
+class _GlobalStatementWarning(Rule):
+    """A warning-severity rule for the ``--strict`` tests (the shipped
+    rule pack has only error-severity rules)."""
+
+    rule_id = "TEST001"
+    severity = SEVERITY_WARNING
+    node_types = (ast.Global,)
+    doc = "global statement (test-only rule)"
+
+    def check(self, node, ctx):
+        ctx.report(self, node, "global statement")
+
+
 def _write_project(tmp_path, body):
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
@@ -198,15 +214,16 @@ class TestMain:
         assert rc == 1
         assert "DET001" in capsys.readouterr().out
 
-    def test_warning_passes_unless_strict(self, tmp_path, capsys):
+    def test_warning_passes_unless_strict(self, tmp_path, capsys, monkeypatch):
+        from repro.analysis import rules
+
+        monkeypatch.setattr(rules, "ALL_RULES", [_GlobalStatementWarning])
         root = _write_project(
             tmp_path,
             """
-            def worker(item):
-                shared.total += item
-
-            def serve(pool, items):
-                pool.submit(worker, items)
+            def bump():
+                global counter
+                counter += 1
             """,
         )
         relaxed = analysis_main(
@@ -218,7 +235,7 @@ class TestMain:
         out = capsys.readouterr().out
         assert relaxed == 0
         assert strict == 1
-        assert "DET004" in out
+        assert "TEST001" in out
 
     def test_baseline_filters_findings(self, tmp_path):
         root = _write_project(
@@ -250,7 +267,7 @@ class TestMain:
         rc = analysis_main(["--list-rules"])
         out = capsys.readouterr().out
         assert rc == 0
-        for rule_id in ("DET001", "DET002", "DET003", "DET004", "KNOB001", "GOLD001"):
+        for rule_id in ("DET001", "DET002", "DET003", "KNOB001", "GOLD001"):
             assert rule_id in out
 
     def test_cli_lint_subcommand_forwards(self, capsys):

@@ -7,23 +7,22 @@ from repro.analysis import knobs
 
 class TestRegistry:
     def test_registered_knobs(self):
-        names = {knob.name for knob in knobs.all_knobs()}
-        assert {"n_workers", "async_pipeline", "ilp_encoder"} <= names
+        names = [knob.name for knob in knobs.all_knobs()]
+        assert names == ["ilp_encoder"]
 
     def test_all_knobs_is_sorted(self):
         names = [knob.name for knob in knobs.all_knobs()]
         assert names == sorted(names)
 
     def test_lookup_by_env_var(self):
-        assert knobs.by_env("REPRO_N_WORKERS").name == "n_workers"
-        assert knobs.by_env("REPRO_ASYNC").name == "async_pipeline"
         assert knobs.by_env("REPRO_ILP_ENCODER").name == "ilp_encoder"
+        assert knobs.by_env("REPRO_NO_SUCH_KNOB") is None
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            knobs.register("n_workers", "REPRO_N_WORKERS_2", "0", "dup", "tests")
-        with pytest.raises(ValueError, match="REPRO_N_WORKERS"):
-            knobs.register("n_workers_2", "REPRO_N_WORKERS", "0", "dup", "tests")
+        with pytest.raises(ValueError, match="ilp_encoder"):
+            knobs.register("ilp_encoder", "REPRO_ILP_ENCODER_2", "", "dup", "tests")
+        with pytest.raises(ValueError, match="REPRO_ILP_ENCODER"):
+            knobs.register("ilp_encoder_2", "REPRO_ILP_ENCODER", "", "dup", "tests")
 
     def test_unknown_knob_raises(self):
         with pytest.raises(KeyError):
@@ -32,10 +31,10 @@ class TestRegistry:
             knobs.read("no_such_knob")
 
     def test_read_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_WORKERS", raising=False)
-        assert knobs.read("n_workers") == "0"
-        monkeypatch.setenv("REPRO_N_WORKERS", "6")
-        assert knobs.read("n_workers") == "6"
+        monkeypatch.delenv("REPRO_ILP_ENCODER", raising=False)
+        assert knobs.read("ilp_encoder") == "compiled"
+        monkeypatch.setenv("REPRO_ILP_ENCODER", "tree")
+        assert knobs.read("ilp_encoder") == "tree"
 
     def test_knob_table_lists_every_env_var(self):
         table = knobs.knob_table()
@@ -45,42 +44,8 @@ class TestRegistry:
 
 
 class TestMigratedResolvers:
-    """resolve_workers / resolve_async / resolve_ilp_encoder keep their
-    pre-registry semantics, now reading through knobs.read()."""
-
-    def test_resolve_workers_env(self, monkeypatch):
-        from repro.core.sharding import resolve_workers
-
-        monkeypatch.setenv("REPRO_N_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(5) == 5
-        monkeypatch.delenv("REPRO_N_WORKERS")
-        assert resolve_workers(None) == 0
-
-    def test_resolve_workers_invalid(self, monkeypatch):
-        from repro.errors import DebuggingError
-        from repro.core.sharding import resolve_workers
-
-        monkeypatch.setenv("REPRO_N_WORKERS", "lots")
-        with pytest.raises(DebuggingError):
-            resolve_workers(None)
-
-    def test_resolve_async_env(self, monkeypatch):
-        from repro.core.sharding import resolve_async
-
-        monkeypatch.setenv("REPRO_ASYNC", "1")
-        assert resolve_async(None) is True
-        assert resolve_async(False) is False
-        monkeypatch.setenv("REPRO_ASYNC", "0")
-        assert resolve_async(None) is False
-
-    def test_resolve_async_invalid(self, monkeypatch):
-        from repro.errors import DebuggingError
-        from repro.core.sharding import resolve_async
-
-        monkeypatch.setenv("REPRO_ASYNC", "yes")
-        with pytest.raises(DebuggingError):
-            resolve_async(None)
+    """resolve_ilp_encoder keeps its pre-registry semantics, now reading
+    through knobs.read()."""
 
     def test_resolve_ilp_encoder_env(self, monkeypatch):
         from repro.ilp.encode import resolve_ilp_encoder
@@ -93,13 +58,10 @@ class TestMigratedResolvers:
         assert resolve_ilp_encoder("tree") == "tree"
 
     def test_env_var_aliases_preserved(self):
-        # Pre-registry module constants stay importable (used by tests
+        # The pre-registry module constant stays importable (used by tests
         # and external scripts).
-        from repro.core.sharding import ASYNC_ENV_VAR, WORKERS_ENV_VAR
         from repro.ilp.encode import ENCODER_ENV_VAR
 
-        assert WORKERS_ENV_VAR == "REPRO_N_WORKERS"
-        assert ASYNC_ENV_VAR == "REPRO_ASYNC"
         assert ENCODER_ENV_VAR == "REPRO_ILP_ENCODER"
 
 

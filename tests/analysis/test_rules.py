@@ -6,6 +6,7 @@ are modelled on the real bug classes from this repo's history — most
 prominently the pre-PR-8 ``_aux_cache`` id()-keying bug for DET001.
 """
 
+import ast
 import textwrap
 
 import pytest
@@ -325,105 +326,35 @@ class TestDet003:
         assert found == []
 
 
-# -- DET004: unsynchronized shared writes in pool-submitted callables --------
+# -- DET004 (retired): pool-submitted writes ---------------------------------
 
 
-class TestDet004:
-    def test_shared_attribute_write_in_submitted_function(self):
-        found = findings_for(
-            """
-            def worker(item):
-                shared.total += item.cost
+class TestDet004Retired:
+    """DET004 flagged shared writes from thread-pool tasks.  It was retired
+    because the library runs no pool; this pins that premise."""
 
-            def serve(pool, items):
-                for item in items:
-                    pool.submit(worker, item)
-            """,
-            "DET004",
-        )
-        assert len(found) == 1
-        assert found[0].severity == "warning"
-
-    def test_run_sharded_callable(self):
-        found = findings_for(
-            """
-            def fetch(entry):
-                cache.hits += 1
-                return entry
-
-            def serve(entries):
-                return run_sharded(fetch, entries, 4)
-            """,
-            "DET004",
-        )
-        assert len(found) == 1
-
-    def test_pipeline_stage_method_write(self):
-        found = findings_for(
-            """
-            def train_stage(model, X, y):
-                model.params = fit(X, y)
-
-            def run(pipe, model, X, y):
-                pipe.submit_train(train_stage, model, X, y)
-            """,
-            "DET004",
-        )
-        assert len(found) == 1
-
-    def test_lock_protected_write_is_clean(self):
-        found = findings_for(
-            """
-            def worker(item):
-                with stats_lock:
-                    shared.total += item.cost
-
-            def serve(pool, items):
-                for item in items:
-                    pool.submit(worker, item)
-            """,
-            "DET004",
-        )
-        assert found == []
-
-    def test_worker_local_object_is_clean(self):
-        found = findings_for(
-            """
-            def worker(item):
-                stats = Stats()
-                stats.count += 1
-                return stats
-
-            def serve(pool, items):
-                for item in items:
-                    pool.submit(worker, item)
-            """,
-            "DET004",
-        )
-        assert found == []
-
-    def test_unsubmitted_function_is_clean(self):
-        found = findings_for(
-            """
-            def driver(model, X, y):
-                model.params = fit(X, y)
-            """,
-            "DET004",
-        )
-        assert found == []
-
-    def test_inline_suppression(self):
-        found = findings_for(
-            """
-            def worker(item):
-                shared.total += item.cost  # repro: ignore[DET004] — merged on driver
-
-            def serve(pool, items):
-                pool.submit(worker, items)
-            """,
-            "DET004",
-        )
-        assert found == []
+    def test_src_repro_runs_no_thread_pool(self, repo_root):
+        offenders = []
+        for path in sorted((repo_root / "src" / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module in (
+                    "concurrent.futures", "multiprocessing", "threading"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} import")
+                elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] in ("concurrent", "multiprocessing")
+                    or alias.name == "threading"
+                    for alias in node.names
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} import")
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "submit"
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} submit()")
+        assert offenders == []
 
 
 # -- KNOB001: direct environment reads ---------------------------------------
@@ -447,7 +378,7 @@ class TestKnob001:
 
     def test_registry_read_is_clean(self):
         found = findings_for(
-            "def f():\n    return knobs.read('n_workers')\n", "KNOB001"
+            "def f():\n    return knobs.read('ilp_encoder')\n", "KNOB001"
         )
         assert found == []
 

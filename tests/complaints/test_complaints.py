@@ -8,11 +8,19 @@ from repro.complaints import (
     PredictionComplaint,
     TupleComplaint,
     ValueComplaint,
-    all_satisfied,
     all_satisfied_columnar,
 )
 from repro.errors import ComplaintError
 from repro.relational import Executor, plan_sql
+
+
+def all_satisfied(case_results) -> bool:
+    """The tree-walk oracle: every complaint's own ``is_satisfied``."""
+    return all(
+        complaint.is_satisfied(result)
+        for case, result in case_results
+        for complaint in case.complaints
+    )
 
 
 @pytest.fixture()
@@ -134,11 +142,11 @@ class TestComplaintCase:
 
 
 class TestColumnarSatisfied:
-    """``all_satisfied_columnar`` agrees with the tree reference.
+    """``all_satisfied_columnar`` agrees with the tree-walk oracle.
 
-    The async pipeline's drain stage evaluates complaint satisfaction
-    with one vectorized compiled forward per result instead of the tree
-    walk; every complaint shape must produce the same flag.
+    The Rain loop's drain evaluates complaint satisfaction with one
+    vectorized compiled forward per result instead of the tree walk;
+    every complaint shape must produce the same flag.
     """
 
     def _agree(self, case_results) -> bool:

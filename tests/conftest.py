@@ -1,4 +1,4 @@
-"""Shared fixtures: small fitted models, databases, the determinism harness."""
+"""Shared fixtures: small fitted models and databases."""
 
 from __future__ import annotations
 
@@ -7,108 +7,6 @@ import pytest
 
 from repro.ml import LogisticRegression, SoftmaxRegression
 from repro.relational import Database, Relation
-
-# Execution variants the determinism harness pins against the serial loop:
-# (label, n_workers, async_pipeline).  Serial (0, False) is the golden
-# reference and always runs first.
-DETERMINISM_VARIANTS = (
-    ("sharded@2w", 2, False),
-    ("async@0w", 0, True),
-    ("async@2w", 2, True),
-    ("async@4w", 4, True),
-)
-
-
-class DeterminismHarness:
-    """Run one Rain workload across execution variants, pin bit-equality.
-
-    The contract under test: neither the worker count nor the async
-    pipeline may change *anything* observable — the removal order, the
-    per-iteration removal sets, the complaint-satisfied flags, the stop
-    reason, or the final fitted parameters.  The harness snapshots the
-    model's parameters at construction and restores them before every
-    run, so the variants are exact replays of one initial state.
-    """
-
-    variants = DETERMINISM_VARIANTS
-
-    def __init__(
-        self,
-        database,
-        model_name,
-        X_train,
-        y_train,
-        cases,
-        method="holistic",
-        ranker_kwargs=None,
-        rng=0,
-        max_removals=20,
-        k_per_iteration=10,
-        **debugger_kwargs,
-    ):
-        self.database = database
-        self.model_name = model_name
-        self.X_train = X_train
-        self.y_train = y_train
-        self.cases = list(cases)
-        self.method = method
-        self.ranker_kwargs = dict(ranker_kwargs or {})
-        self.rng = rng
-        self.max_removals = max_removals
-        self.k_per_iteration = k_per_iteration
-        self.debugger_kwargs = dict(debugger_kwargs)
-        self._initial_params = database.model(model_name).get_params()
-
-    def run(self, n_workers=0, async_pipeline=False):
-        """One replay; returns (report, final fitted parameters)."""
-        from repro.core import RainDebugger
-
-        model = self.database.model(self.model_name)
-        model.set_params(self._initial_params)
-        debugger = RainDebugger(
-            self.database,
-            self.model_name,
-            self.X_train,
-            self.y_train,
-            self.cases,
-            method=self.method,
-            rng=self.rng,
-            ranker_kwargs=self.ranker_kwargs,
-            n_workers=n_workers,
-            async_pipeline=async_pipeline,
-            **self.debugger_kwargs,
-        )
-        report = debugger.run(
-            max_removals=self.max_removals,
-            k_per_iteration=self.k_per_iteration,
-        )
-        return report, model.get_params()
-
-    def check(self, variants=None):
-        """Assert every variant replays the serial run; returns the golden."""
-        golden, golden_params = self.run(0, False)
-        for label, n_workers, async_pipeline in variants or self.variants:
-            report, params = self.run(n_workers, async_pipeline)
-            assert report.removal_order == golden.removal_order, label
-            assert [record.removed for record in report.iterations] == [
-                record.removed for record in golden.iterations
-            ], label
-            assert [
-                record.complaints_satisfied for record in report.iterations
-            ] == [
-                record.complaints_satisfied for record in golden.iterations
-            ], label
-            assert report.stopped_reason == golden.stopped_reason, label
-            assert np.array_equal(params, golden_params), label
-        self.database.model(self.model_name).set_params(self._initial_params)
-        return golden
-
-
-@pytest.fixture()
-def determinism_harness():
-    """Factory fixture: build a :class:`DeterminismHarness` for a workload."""
-    return DeterminismHarness
-
 
 @pytest.fixture(scope="session")
 def rng():

@@ -12,6 +12,8 @@ from repro.core.rankers import (
     TwoStepRanker,
 )
 from repro.errors import DebuggingError
+from repro.experiments.common import build_dblp_setting
+from repro.experiments.serving import build_serving_setting
 from repro.ml import LogisticRegression
 from repro.relational import Database, Relation
 
@@ -206,3 +208,129 @@ class TestLoop:
             db, "m", X, y, [case, case], method="holistic", rng=0
         ).run(max_removals=10, k_per_iteration=5)
         assert len(report.removal_order) == 10
+
+
+class TestStopping:
+    """The loop's early exits besides the removal budget."""
+
+    def test_stop_when_satisfied_vacuous_complaint(self):
+        setting = build_dblp_setting(0.5, n_train=80, n_query=100, seed=2)
+        # COUNT(*) over n_query rows can never exceed n_query: satisfied
+        # from iteration one, so the loop stops without removing.
+        vacuous = ComplaintCase(
+            setting.query,
+            [ValueComplaint(column="count", op="<=",
+                            value=setting.X_query.shape[0], row_index=0)],
+        )
+        report = RainDebugger(
+            setting.database, setting.model_name, setting.X_train,
+            setting.y_corrupted, [vacuous], method="holistic", rng=0,
+            stop_when_satisfied=True,
+        ).run(max_removals=20)
+        assert report.stopped_reason == "complaints_satisfied"
+        assert report.removal_order == []
+        assert report.iterations[-1].complaints_satisfied
+
+    def test_stop_when_satisfied_keeps_going_while_unsatisfied(self):
+        setting = build_dblp_setting(0.5, n_train=150, n_query=150, seed=0)
+        initial = setting.model.get_params()
+        try:
+            report = RainDebugger(
+                setting.database, setting.model_name, setting.X_train,
+                setting.y_corrupted, [setting.case], method="holistic", rng=0,
+                stop_when_satisfied=True,
+            ).run(max_removals=20)
+        finally:
+            setting.model.set_params(initial)
+        # Unsatisfied iterations remove records; the first satisfied one
+        # stops the loop without removing any.
+        assert report.removal_order
+        removing = [record for record in report.iterations if record.removed]
+        assert removing and not any(r.complaints_satisfied for r in removing)
+        assert report.stopped_reason == "complaints_satisfied"
+        assert report.iterations[-1].complaints_satisfied
+        assert report.iterations[-1].removed == []
+
+    def test_no_signal_stops_without_removing(self):
+        setting = build_dblp_setting(0.5, n_train=40, n_query=60, seed=3)
+        # Identical rows + identical labels: every per-sample loss ties,
+        # so the ranker has no signal and the loop must refuse to remove
+        # arbitrary records.
+        X_flat = np.zeros_like(setting.X_train)
+        y_const = setting.y_corrupted.copy()
+        y_const[:] = "match"
+        report = RainDebugger(
+            setting.database, setting.model_name, X_flat, y_const,
+            [setting.case], method="loss", rng=0,
+        ).run(max_removals=10)
+        assert report.stopped_reason == "no_signal"
+        assert report.removal_order == []
+        assert len(report.iterations) == 1
+        assert report.iterations[0].removed == []
+
+    def test_execute_failure_propagates(self, monkeypatch):
+        setting = build_dblp_setting(0.5, n_train=60, n_query=80, seed=1)
+        debugger = RainDebugger(
+            setting.database, setting.model_name, setting.X_train,
+            setting.y_corrupted, [setting.case], method="holistic", rng=0,
+        )
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("executor down")
+
+        monkeypatch.setattr(debugger.executor, "execute", boom)
+        with pytest.raises(RuntimeError, match="executor down"):
+            debugger.run(max_removals=10)
+
+
+def _cache_counters(report):
+    return [
+        (record.diagnostics["execute_cache"]["hits"],
+         record.diagnostics["execute_cache"]["misses"])
+        for record in report.iterations
+    ]
+
+
+class TestExecuteDedup:
+    """``execute_cache`` counts executions run (misses) and saved (hits)."""
+
+    @pytest.fixture(scope="class")
+    def serving_setting(self):
+        return build_serving_setting(0.5, n_train=120, n_query=300, seed=0)
+
+    def _run(self, setting, provenance):
+        initial = setting.model.get_params()
+        try:
+            return RainDebugger(
+                setting.database, "income", setting.X_train,
+                setting.y_corrupted, setting.cases, method="holistic", rng=0,
+                provenance=provenance,
+            ).run(max_removals=20, k_per_iteration=10)
+        finally:
+            setting.model.set_params(initial)
+
+    def test_serving_setting_executes_each_plan_once(self, serving_setting):
+        report = self._run(serving_setting, "compiled")
+        assert len(serving_setting.cases) == 12
+        assert _cache_counters(report) == [(10, 2)] * len(report.iterations)
+        cache = report.iterations[0].diagnostics["execute_cache"]
+        assert cache["n_cases"] == 12
+        assert cache["n_distinct_plans"] == 2
+
+    def test_tree_provenance_never_dedups(self, serving_setting):
+        deduped = self._run(serving_setting, "compiled")
+        tree = self._run(serving_setting, "tree")
+        assert _cache_counters(tree) == [(0, 12)] * len(tree.iterations)
+        assert tree.removal_order == deduped.removal_order
+
+    def test_single_case_dblp(self):
+        setting = build_dblp_setting(0.5, n_train=60, n_query=80, seed=1)
+        initial = setting.model.get_params()
+        try:
+            report = RainDebugger(
+                setting.database, setting.model_name, setting.X_train,
+                setting.y_corrupted, [setting.case], method="holistic", rng=0,
+            ).run(max_removals=20, k_per_iteration=10)
+        finally:
+            setting.model.set_params(initial)
+        assert _cache_counters(report) == [(0, 1)] * len(report.iterations)

@@ -11,7 +11,7 @@ scaled-down versions of the paper's fig4 (DBLP count complaint) and fig6
 import numpy as np
 import pytest
 
-from repro.core import RainDebugger
+from repro.core import RainDebugger, WarmStartState
 from repro.influence import PerSampleGradCache
 from repro.ml import LogisticRegression
 
@@ -160,3 +160,97 @@ class TestPerSampleGradCache:
         cache.invalidate()
         cache.get(model, X, y, np.arange(40))
         assert cache.misses == 2 and cache.hits == 0
+
+
+class TestWarmStartStateEdgeCases:
+    def test_drop_columns_empty_is_noop(self):
+        warm = WarmStartState(block=np.arange(12.0).reshape(3, 4))
+        before = warm.block
+        warm.drop_columns(np.asarray([], dtype=np.float64))
+        assert warm.block is before
+
+    def test_drop_columns_float_positions(self):
+        warm = WarmStartState(block=np.arange(12.0).reshape(3, 4))
+        warm.drop_columns(np.asarray([1.0, 3.0]))
+        np.testing.assert_array_equal(
+            warm.block, np.arange(12.0).reshape(3, 4)[:, [0, 2]]
+        )
+
+    def test_drop_cases_realigns_q_block(self):
+        warm = WarmStartState(q_block=np.arange(12.0).reshape(4, 3))
+        warm.drop_cases(np.asarray([1]))
+        np.testing.assert_array_equal(
+            warm.q_block, np.arange(12.0).reshape(4, 3)[[0, 2, 3]]
+        )
+        assert warm.q_block_for(3, 3) is not None
+        assert warm.q_block_for(4, 3) is None
+
+    def test_drop_cases_none_and_empty(self):
+        warm = WarmStartState()
+        warm.drop_cases(np.asarray([0]))  # no q_block: no-op
+        warm.q_block = np.ones((2, 3))
+        warm.drop_cases(np.asarray([], dtype=np.int64))
+        assert warm.q_block.shape == (2, 3)
+
+    def test_q_block_survives_case_pruning_in_solves(self):
+        """Pruning a case keeps the remaining rows warm-starting theirs."""
+        warm = WarmStartState(q_block=np.vstack([np.full(3, i) for i in range(3)]))
+        warm.drop_cases(np.asarray([0]))
+        np.testing.assert_array_equal(warm.q_block[0], np.full(3, 1.0))
+
+    def test_drop_cases_mid_run_keeps_q_block_consistent(self):
+        """Regression: pruning a case mid-run must leave the per-case warm
+        block consumable by the next per-query Holistic solve, and the
+        warm-started scores must match a cold solve on the surviving cases.
+        """
+        from repro.core import make_ranker
+        from repro.experiments.serving import build_serving_setting
+        from repro.utils import Stopwatch
+
+        setting = build_serving_setting(0.5, n_train=120, n_query=300, seed=0)
+        cases = setting.cases[:3]
+        debugger = RainDebugger(
+            setting.database, "income", setting.X_train, setting.y_corrupted,
+            cases, method="holistic", rng=0,
+            ranker_kwargs={"per_query_solves": True},
+        )
+        active = np.arange(setting.X_train.shape[0])
+        X_active, y_active = setting.X_train, setting.y_corrupted
+        debugger._train_stage(X_active, y_active)
+        case_results, stats = debugger._execute_stage()
+
+        # Iteration k: a real 3-case per-query solve fills the warm block.
+        warm = WarmStartState()
+        ranker = make_ranker("holistic", per_query_solves=True)
+        ranker.scores(
+            debugger._make_context(
+                X_active, y_active, active, case_results, Stopwatch(), warm,
+                stats,
+            )
+        )
+        n_params = setting.model.n_params
+        assert warm.q_block is not None
+        assert warm.q_block.shape == (3, n_params)
+
+        # The driver prunes case 1 mid-run.
+        warm.drop_cases(np.asarray([1]))
+        assert warm.q_block_for(3, n_params) is None  # stale shape refused
+        assert warm.q_block_for(2, n_params) is not None
+
+        # Iteration k+1 over the surviving cases consumes the warm rows…
+        surviving = [case_results[0], case_results[2]]
+        warm_scores = make_ranker("holistic", per_query_solves=True).scores(
+            debugger._make_context(
+                X_active, y_active, active, surviving, Stopwatch(), warm, None
+            )
+        )
+        assert warm.q_block.shape == (2, n_params)
+        # …and produces the same ranking as a cold solve (warm starts are
+        # accelerators, never state the scores depend on).
+        cold_scores = make_ranker("holistic", per_query_solves=True).scores(
+            debugger._make_context(
+                X_active, y_active, active, surviving, Stopwatch(),
+                WarmStartState(), None,
+            )
+        )
+        np.testing.assert_allclose(warm_scores, cold_scores, atol=1e-6)

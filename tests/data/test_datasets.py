@@ -212,63 +212,3 @@ class TestCorruption:
         y = np.asarray([0] * 80 + [1] * 20)
         corruption = corrupt_where_label(y, 1, 0, 0.5, rng=0)
         assert corruption.corruption_rate_overall() == pytest.approx(0.1)
-
-
-class TestShardedCorruption:
-    """``n_shards`` sampling: per-shard ``SeedSequence.spawn`` streams.
-
-    Each shard draws from its own spawned child, so the sampled subset is a
-    pure function of (seed, n_shards) — any number of workers consuming the
-    shards in any order reproduces bit-identical corruption.
-    """
-
-    def test_deterministic_and_count_preserved(self):
-        y = np.zeros(200, dtype=int)
-        mask = np.ones(200, dtype=bool)
-        a = corrupt_labels(y, mask, 1, 0.3, rng=7, n_shards=4)
-        b = corrupt_labels(y, mask, 1, 0.3, rng=7, n_shards=4)
-        np.testing.assert_array_equal(a.corrupted_indices, b.corrupted_indices)
-        assert a.n_corrupted == 60  # global count never depends on sharding
-
-    @given(st.integers(1, 16), st.integers(0, 1000), st.integers(1, 99))
-    @settings(max_examples=40, deadline=None)
-    def test_quotas_preserve_global_count(self, n_shards, seed, percent):
-        y = np.zeros(150, dtype=int)
-        mask = np.zeros(150, dtype=bool)
-        mask[:100] = True
-        corruption = corrupt_labels(
-            y, mask, 1, percent / 100.0, rng=seed, n_shards=n_shards
-        )
-        assert corruption.n_corrupted == max(1, round(percent))
-        assert set(corruption.corrupted_indices.tolist()) <= set(range(100))
-
-    def test_none_matches_legacy_single_stream(self):
-        y = np.zeros(100, dtype=int)
-        mask = np.ones(100, dtype=bool)
-        legacy = corrupt_labels(y, mask, 1, 0.25, rng=3)
-        explicit = corrupt_labels(y, mask, 1, 0.25, rng=3, n_shards=None)
-        np.testing.assert_array_equal(
-            legacy.corrupted_indices, explicit.corrupted_indices
-        )
-
-    def test_generator_seed_rejected(self):
-        y = np.zeros(50, dtype=int)
-        mask = np.ones(50, dtype=bool)
-        with pytest.raises(ValueError, match="integer seed"):
-            corrupt_labels(
-                y, mask, 1, 0.5, rng=np.random.default_rng(0), n_shards=2
-            )
-
-    def test_more_shards_than_candidates_clipped(self):
-        y = np.zeros(10, dtype=int)
-        mask = np.zeros(10, dtype=bool)
-        mask[:3] = True
-        corruption = corrupt_labels(y, mask, 1, 1.0, rng=0, n_shards=8)
-        np.testing.assert_array_equal(corruption.corrupted_indices, [0, 1, 2])
-
-    def test_indices_sorted(self):
-        y = np.zeros(120, dtype=int)
-        mask = np.ones(120, dtype=bool)
-        corruption = corrupt_labels(y, mask, 1, 0.4, rng=11, n_shards=5)
-        indices = corruption.corrupted_indices
-        assert np.all(np.diff(indices) > 0)

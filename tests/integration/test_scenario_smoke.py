@@ -5,15 +5,16 @@ fig8 (Adult multi-query) paths, pinning the actual recall curves — not
 just the qualitative shape — so a numerics regression anywhere in the
 train-rank-fix stack (executor, relaxation, influence solves, ranking)
 shows up as a curve shift here before the slow benchmarks run.  The runs
-are fully seeded and the engine is deterministic (see the sharding and
-async determinism contracts), so the pins hold exactly; tolerances are
-only for cross-platform float noise.
+are fully seeded and the engine is deterministic, so the pins hold
+exactly; tolerances are only for cross-platform float noise.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.metrics import auccr_normalized, recall_curve
 from repro.experiments import compare_methods
+from repro.experiments.common import run_method
 from repro.experiments.fig8_multiquery import build_adult_setting
 from repro.experiments.table3_auccr import build_enron_setting
 
@@ -84,24 +85,24 @@ class TestAdultScenario:
         # ranking cannot see — loss finds nothing at this scale.
         assert summaries["loss"]["auccr"] == pytest.approx(0.0, abs=PIN_ATOL)
 
-    def test_async_pipeline_reproduces_pinned_curve(self):
-        """The async loop reproduces the pinned serial curves exactly."""
+    def test_tree_reference_reproduces_pinned_curve(self):
+        """The tree-provenance reference lands on the deduped loop's curve."""
         setting = build_adult_setting(0.5, n_train=200, n_query=300, seed=0)
-        serial = compare_methods(
+        cases = [setting.gender_case, setting.age_case]
+        deduped = compare_methods(
             setting.database, "income", setting.X_train, setting.y_corrupted,
-            [setting.gender_case, setting.age_case],
-            setting.corrupted_indices,
+            cases, setting.corrupted_indices,
             methods=("holistic",), seed=0, max_removals=30,
-        )
-        piped = compare_methods(
-            setting.database, "income", setting.X_train, setting.y_corrupted,
-            [setting.gender_case, setting.age_case],
-            setting.corrupted_indices,
-            methods=("holistic",), seed=0, max_removals=30,
-            n_workers=2, async_pipeline=True,
-        )
-        np.testing.assert_array_equal(
-            piped["holistic"]["recall_curve"],
-            serial["holistic"]["recall_curve"],
-        )
-        assert piped["holistic"]["auccr"] == serial["holistic"]["auccr"]
+        )["holistic"]
+        initial = setting.model.get_params()
+        try:
+            tree = run_method(
+                setting.database, "income", setting.X_train,
+                setting.y_corrupted, cases, "holistic", max_removals=30,
+                seed=0, reset_params=initial, provenance="tree",
+            )
+        finally:
+            setting.model.set_params(initial)
+        curve = recall_curve(tree.removal_order, setting.corrupted_indices)
+        np.testing.assert_array_equal(curve, deduped["recall_curve"])
+        assert auccr_normalized(curve) == deduped["auccr"]

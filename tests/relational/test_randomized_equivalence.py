@@ -21,7 +21,6 @@ from repro.complaints import (
     ComplaintCase,
     TupleComplaint,
     ValueComplaint,
-    all_satisfied,
     all_satisfied_columnar,
 )
 from repro.relational import (
@@ -232,6 +231,6 @@ class TestRandomizedCompiledVsTree:
         )
 
         case = ComplaintCase(plan, complaints)
-        assert all_satisfied_columnar([(case, compiled)]) == all_satisfied(
-            [(case, tree)]
+        assert all_satisfied_columnar([(case, compiled)]) == all(
+            complaint.is_satisfied(tree) for complaint in complaints
         )

@@ -17,11 +17,26 @@ class TestParser:
             build_parser().parse_args(["run", "fig99"])
 
     def test_every_experiment_registered(self):
-        assert len(EXPERIMENTS) == 19
-        assert "async" in EXPERIMENTS
+        assert len(EXPERIMENTS) == 18
+        assert "serving" in EXPERIMENTS
+        assert "async" not in EXPERIMENTS
 
     def test_run_fast_experiment(self, capsys, tmp_path):
         assert main(["run", "thm_c1", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "thm_c1_value_of_complaints" in out
         assert (tmp_path / "thm_c1_value_of_complaints.txt").exists()
+
+    def test_serve_check_matches_tree_order(self, capsys):
+        argv = ["serve", "--check", "--n-train", "120", "--n-query", "300",
+                "--max-removals", "10"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "served 12 complaint cases over 2 distinct plans" in out
+        assert "iteration 1: 2 executions for 12 cases (10 saved)" in out
+        assert "determinism check passed" in out
+
+    def test_serve_drops_worker_and_async_flags(self):
+        for flag in ("--workers", "--async-pipeline"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve", flag, "2"])
