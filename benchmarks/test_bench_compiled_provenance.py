@@ -4,7 +4,7 @@ Acceptance bar for the compiled provenance engine (fig5's encode side, the
 DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
 
 - the compiled path (columnar executor emitting node arrays, batched
-  relaxation objective, persistent HiGHS LP backend) must produce removal
+  relaxation objective, persistent HiGHS LP) must produce removal
   orders **identical** to the interpreted reference path (tree provenance,
   per-row runtime caches, per-call scipy ``linprog``), and
 - the combined TwoStep + Holistic Encode (+ query execution, folded into
@@ -15,38 +15,50 @@ DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
   solves themselves, which the identical-orders requirement pins to the
   reference solve sequence.
 
+The reference configuration reaches the per-call ``linprog`` branch &
+bound by patching the test oracle (``tests/oracles/lp_linprog.py``) over
+the ``enumerate_optima`` name TwoStep looks up; the production solver has
+no backend switch.
+
 Fast tier: three train-rank-fix iterations per configuration.
 """
 
+import pytest
 from conftest import save_and_print
 
+from repro.core import rankers
 from repro.experiments.common import ExperimentResult, build_dblp_setting, run_method
+from tests.oracles.lp_linprog import enumerate_optima_reference
 
 CONFIGS = {
-    "reference": {"provenance": "tree", "lp_backend": "linprog"},
-    "compiled": {"provenance": "compiled", "lp_backend": "highs"},
+    "reference": {
+        "provenance": "tree",
+        "enumerate_optima": enumerate_optima_reference,
+    },
+    "compiled": {
+        "provenance": "compiled",
+        "enumerate_optima": rankers.enumerate_optima,
+    },
 }
 
 
 def _run(setting, initial_params, method, config):
-    ranker_kwargs = (
-        {"lp_backend": config["lp_backend"]} if method == "twostep" else None
-    )
     setting.model.set_params(initial_params)
-    report = run_method(
-        setting.database,
-        setting.model_name,
-        setting.X_train,
-        setting.y_corrupted,
-        [setting.case],
-        method,
-        max_removals=30,
-        k_per_iteration=10,
-        seed=0,
-        reset_params=initial_params,
-        provenance=config["provenance"],
-        ranker_kwargs=ranker_kwargs,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rankers, "enumerate_optima", config["enumerate_optima"])
+        report = run_method(
+            setting.database,
+            setting.model_name,
+            setting.X_train,
+            setting.y_corrupted,
+            [setting.case],
+            method,
+            max_removals=30,
+            k_per_iteration=10,
+            seed=0,
+            reset_params=initial_params,
+            provenance=config["provenance"],
+        )
     iterations = max(1, len([r for r in report.iterations if r.removed]))
     timings = report.timings
     encode = (timings.get("encode", 0.0) + timings.get("execute", 0.0)) / iterations

@@ -16,8 +16,9 @@ the compiled encoder:
 
 The selection row is reported but carries no speedup floor: a handful
 of tuple complaints touch a sliver of the pool, so the compiled
-encoder's one-time pool canonicalization dominates there (the regime
-``REPRO_ILP_ENCODER=tree`` exists for).
+encoder's one-time pool canonicalization dominates there.  TwoStep
+still uses the compiled encoder for every compiled-provenance result:
+no benchmark workload has this complaint-sparse shape.
 """
 
 from conftest import save_and_print

@@ -5,13 +5,11 @@ every engine generation promises that its fast paths (compiled
 provenance, array-lowered encoding, plan dedup) produce removal orders
 bit-identical to the golden references, and the rules here reject the
 bug classes that have historically threatened that promise (id()-keyed
-caches, unordered iteration feeding emission, global RNG, undeclared env
-knobs, silent golden-path edits).
+caches, unordered iteration feeding emission, global RNG, environment
+reads, silent golden-path edits).
 
 Run it as ``python -m repro.analysis`` or ``python -m repro.cli lint``;
 see ``docs/ANALYSIS.md`` for the rule catalogue and suppression syntax.
-:mod:`repro.analysis.knobs` doubles as the runtime registry every
-``REPRO_*`` environment read goes through.
 """
 
 from .engine import (

@@ -65,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-golden", action="store_true", help="skip the GOLD001 manifest check"
     )
     parser.add_argument(
-        "--no-knob-docs", action="store_true",
-        help="skip the KNOB001 documentation cross-check",
-    )
-    parser.add_argument(
         "--update-golden", action="store_true",
         help="rewrite golden_paths.toml hashes from the current tree "
         "(only after re-running the equivalence tests) and exit",
@@ -107,7 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         baseline=baseline,
         manifest_path=manifest,
         include_golden=not args.no_golden,
-        include_knob_docs=not args.no_knob_docs,
     )
     for finding in report.findings:
         print(finding.format())

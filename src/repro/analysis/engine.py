@@ -296,7 +296,6 @@ class FileContext:
         self.n_inline_suppressed = 0
         self._seen: set[tuple] = set()
         self.in_experiments = "/experiments/" in f"/{path}"
-        self.is_knob_registry = path.endswith("analysis/knobs.py")
 
     # -- tree navigation -----------------------------------------------------
 
@@ -497,7 +496,6 @@ def run_analysis(
     baseline: set[tuple[str, str, str]] | None = None,
     manifest_path: Path | None = None,
     include_golden: bool = True,
-    include_knob_docs: bool = True,
 ) -> AnalysisReport:
     """The full analyzer: per-file rules, then project-level checks,
     then baseline filtering.  ``paths`` defaults to ``root/src/repro``."""
@@ -540,10 +538,6 @@ def run_analysis(
         from .golden import check_golden
 
         collected.extend(check_golden(root, manifest_path))
-    if include_knob_docs:
-        from .rules import check_knob_docs
-
-        collected.extend(check_knob_docs(root))
 
     baseline = baseline or set()
     for finding in sorted(collected, key=lambda f: f.sort_key):

@@ -2,8 +2,9 @@
 
 The repo's determinism contract is anchored on a handful of
 *golden reference* implementations — the tree-walking ILP encoder, the
-``linprog`` LP backend, the per-record gradient reference, the
-interpreted objective, the serial Rain loop.  Every fast path is pinned
+``linprog`` LP oracle (a test module, ``tests.oracles.lp_linprog``), the
+per-record gradient reference, the interpreted objective, the serial
+Rain loop.  Every fast path is pinned
 bit-identical to one of them, so silently editing a golden body voids
 every equivalence guarantee downstream.
 
@@ -67,7 +68,10 @@ def load_manifest(path: Path) -> list[GoldenEntry]:
 
 
 def _module_file(root: Path, module: str) -> Path:
-    return root / "src" / Path(*module.split(".")).with_suffix(".py")
+    """Source file of ``module``: ``tests.*`` test oracles live at the repo
+    root, everything else under ``src/``."""
+    base = root if module.split(".")[0] == "tests" else root / "src"
+    return base / Path(*module.split(".")).with_suffix(".py")
 
 
 def _find_node(tree: ast.Module, qualname: str):

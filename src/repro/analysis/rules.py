@@ -16,22 +16,16 @@ occurred) in this repo's determinism history; see
 - DET003 — module-level / global RNG (``np.random.shuffle``,
   ``random.random``, argless ``default_rng()``) outside ``experiments/``
   instead of a threaded ``Generator``.
-- KNOB001 — direct ``os.environ``/``os.getenv`` reads anywhere but the
-  :mod:`repro.analysis.knobs` registry; plus a project check that every
-  registered knob is documented in README/docs.
+- KNOB001 — any ``os.environ``/``os.getenv`` read in ``src/repro``.  The
+  runtime has no environment knobs: behaviour depends only on (data,
+  seed, config) passed through the python API.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from .engine import (
-    SEVERITY_ERROR,
-    FileContext,
-    Finding,
-    Rule,
-)
+from .engine import SEVERITY_ERROR, FileContext, Rule
 
 
 def _dotted_name(node: ast.AST) -> tuple[str, ...] | None:
@@ -328,14 +322,9 @@ class Knob001DirectEnvRead(Rule):
     rule_id = "KNOB001"
     severity = SEVERITY_ERROR
     node_types = (ast.Subscript, ast.Call)
-    doc = (
-        "Direct os.environ / os.getenv access outside the "
-        "repro.analysis.knobs registry."
-    )
+    doc = "Environment read (os.environ / os.getenv); the runtime has no env knobs."
 
     def check(self, node: ast.AST, ctx: FileContext) -> None:
-        if ctx.is_knob_registry:
-            return
         if isinstance(node, ast.Subscript):
             dotted = _dotted_name(node.value)
             if dotted in (("os", "environ"), ("environ",)):
@@ -357,45 +346,9 @@ class Knob001DirectEnvRead(Rule):
         ctx.report(
             self,
             node,
-            f"direct environment read '{what}'; declare the knob in "
-            "repro.analysis.knobs and read it via knobs.read(name)",
+            f"environment read '{what}'; pass the setting explicitly "
+            "through the python API instead",
         )
-
-
-def check_knob_docs(root: Path) -> list[Finding]:
-    """KNOB001 project check: every registered knob's env var must appear
-    in README.md or docs/*.md (the satellite documentation contract)."""
-    from . import knobs
-
-    root = Path(root)
-    corpus = ""
-    readme = root / "README.md"
-    if readme.exists():
-        corpus += readme.read_text()
-    docs_dir = root / "docs"
-    if docs_dir.is_dir():
-        for doc in sorted(docs_dir.glob("*.md")):
-            corpus += doc.read_text()
-    if not corpus:
-        # Fixture trees without docs opt out of the documentation check.
-        return []
-    findings = []
-    for knob in knobs.all_knobs():
-        if knob.env_var not in corpus:
-            findings.append(
-                Finding(
-                    rule="KNOB001",
-                    severity=SEVERITY_ERROR,
-                    path="README.md",
-                    line=1,
-                    col=0,
-                    message=(
-                        f"registered knob {knob.name!r} ({knob.env_var}) is "
-                        "not documented in README.md or docs/*.md"
-                    ),
-                )
-            )
-    return findings
 
 
 ALL_RULES: list[type[Rule]] = [

@@ -261,8 +261,6 @@ class TwoStepRanker(Ranker):
         node_limit: int = 20000,
         time_limit: float | None = 60.0,
         on_failure: str = "zeros",
-        lp_backend: str | None = None,
-        ilp_encoder: str | None = None,
     ) -> None:
         if on_failure not in ("zeros", "raise"):
             raise DebuggingError("on_failure must be 'zeros' or 'raise'")
@@ -270,8 +268,6 @@ class TwoStepRanker(Ranker):
         self.node_limit = node_limit
         self.time_limit = time_limit
         self.on_failure = on_failure
-        self.lp_backend = lp_backend
-        self.ilp_encoder = ilp_encoder
 
     def scores(self, ctx: IterationContext) -> np.ndarray:
         with ctx.watch.time("encode"):
@@ -340,14 +336,13 @@ class TwoStepRanker(Ranker):
         direct_sites = {complaint.site_id(result) for complaint in direct}
         if not indirect:
             return direct_marks, direct_sites, None, None
-        encoder = make_encoder(result, self.ilp_encoder)
+        encoder = make_encoder(result)
         encoder.add_complaints(case.complaints)  # point complaints pin sites
         solutions = enumerate_optima(
             encoder.program,
             max_solutions=self.ambiguity_cap,
             node_limit=self.node_limit,
             time_limit=self.time_limit,
-            lp_backend=self.lp_backend,
         )
         return direct_marks, direct_sites, encoder, solutions
 

@@ -13,11 +13,11 @@ loop, so the table doubles as the block-solve before/after comparison.
 
 Since the tensorized-provenance engine, the Encode side runs compiled by
 default: the executor emits provenance as node arrays, Holistic's relaxed
-objective is one batched forward/backward sweep, and TwoStep's ILP uses
-the persistent HiGHS backend.  ``benchmarks/test_bench_compiled_provenance``
-measures this same configuration against the preserved interpreted
-reference (tree provenance + per-call linprog) and asserts identical
-removal orders.
+objective is one batched forward/backward sweep, and TwoStep's ILP runs
+on one persistent HiGHS instance per program (the only LP solver).
+``benchmarks/test_bench_compiled_provenance`` measures this same
+configuration against the interpreted reference (tree provenance + the
+per-call ``linprog`` test oracle) and asserts identical removal orders.
 
 We fold query execution time into Encode, matching the paper's grouping.
 """

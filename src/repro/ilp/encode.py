@@ -15,7 +15,8 @@ the influence step.
 Two encoders produce byte-identical programs:
 
 - :class:`TiresiasEncoder` — the golden reference; walks expression trees
-  recursively, one ``add_var``/``add_constraint`` per node.
+  recursively, one ``add_var``/``add_constraint`` per node.  It is the
+  only encoder for tree-provenance results.
 - :class:`CompiledILPEncoder` — the array path for compiled-provenance
   results; allocates aux variables in bulk per complaint, emits the
   AND/OR linking inequalities as CSR constraint blocks straight from the
@@ -26,9 +27,9 @@ Two encoders produce byte-identical programs:
   within-row coefficient order all replicate the tree walk exactly, so
   optimal solutions *and* the enumeration order of tied optima match.
 
-:func:`make_encoder` picks between them (``REPRO_ILP_ENCODER`` /
-``ilp_encoder=`` knobs; compiled is the default when the result carries
-compiled provenance).
+:func:`make_encoder` picks between them from the result alone: the
+compiled encoder when the result carries compiled provenance, the tree
+walk otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..analysis import knobs
 from ..complaints.complaint import (
     PredictionComplaint,
     TupleComplaint,
@@ -63,33 +63,13 @@ from .solver import ILPSolution
 
 Affine = tuple[dict[int, float], float]
 
-# Back-compat aliases; the registry in repro.analysis.knobs is canonical.
-ENCODER_ENV_VAR = knobs.ILP_ENCODER.env_var
-_ENCODER_CHOICES = knobs.ILP_ENCODER.choices
-
-
-def resolve_ilp_encoder(choice: str | None = None) -> str:
-    """Resolve the encoder knob: explicit argument, else the registered
-    ``REPRO_ILP_ENCODER`` environment knob, else compiled."""
-    if choice is None:
-        choice = knobs.read("ilp_encoder").strip() or "compiled"
-    if choice not in _ENCODER_CHOICES:
-        raise ILPError(
-            f"ilp_encoder must be one of {_ENCODER_CHOICES}, got {choice!r}"
-        )
-    return choice
-
-
-def make_encoder(result: QueryResult, choice: str | None = None) -> "TiresiasEncoder":
+def make_encoder(result: QueryResult) -> "TiresiasEncoder":
     """The TwoStep encoder for this result: array path when provenance is compiled.
 
-    Tree-mode results always get the tree-walking reference encoder; the
-    ``REPRO_ILP_ENCODER=tree`` escape hatch forces it for compiled results
-    too (both encoders build byte-identical programs).
+    Tree-mode results have no node pool, so they get the tree-walking
+    reference encoder (both encoders build byte-identical programs).
     """
-    if resolve_ilp_encoder(choice) == "compiled" and getattr(
-        result, "compiled", False
-    ):
+    if getattr(result, "compiled", False):
         return CompiledILPEncoder(result)
     return TiresiasEncoder(result)
 

@@ -4,12 +4,11 @@ The TwoStep SQL step (Section 5.2) translates complaints + provenance into
 an ILP à la Tiresias [Meliou & Suciu 2012].  The paper solves these with
 Gurobi/CPLEX; this module provides the model representation and
 :mod:`repro.ilp.solver` provides an exact branch-and-bound solver over
-LP relaxations (a persistent HiGHS instance by default, scipy ``linprog``
-as the reference).
+LP relaxations solved by one persistent HiGHS instance per program.
 
 Constraints are additionally materialized as one CSR matrix
 (:meth:`BinaryProgram.rows`), cached until the next mutation, so that
-feasibility checks and LP-backend construction are array operations
+feasibility checks and HiGHS model construction are array operations
 rather than per-coefficient Python loops.
 """
 

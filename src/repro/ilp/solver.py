@@ -4,28 +4,19 @@ This is the library's replacement for the paper's off-the-shelf solver
 (Gurobi / CPLEX).  Best-first branch & bound; each node solves the LP
 relaxation, prunes by bound, and branches on the most fractional variable.
 
-Two LP backends solve the relaxations:
-
-- ``"highs"`` (default when available): one *persistent* HiGHS instance
-  per program (:class:`PersistentLP`) built from the program's cached CSR
-  rows.  Branch decisions only mutate column bounds and no-good cuts are
-  appended as rows, so each node re-solve skips the matrix rebuild and
-  parse that dominate the reference backend.  The solver state is cleared
-  before every run, which keeps the returned vertices — and therefore
-  branching, optimum enumeration order, and TwoStep's removal orders —
-  bit-identical to the ``linprog`` reference (scipy's ``linprog`` is the
-  same HiGHS under a per-call wrapper).
-- ``"highs-warm"``: same instance, but re-solves warm-start from the
-  previous basis — roughly another 5x on the LP time, at the cost of
-  possibly landing on *different optimal vertices* than the reference on
-  degenerate LPs.  To keep the backend order-stable anyway,
-  :func:`enumerate_optima` canonically sorts a warm enumeration by
-  variable assignment (the optima are tied, so only the order was ever at
-  stake); a complete warm enumeration therefore equals the
-  canonically-sorted cold one.
-- ``"linprog"``: the original per-node ``scipy.optimize.linprog`` call
-  that rebuilds dense matrices every time.  Kept as the reference; the
-  benchmarks run it to anchor the persistent backend's speedup.
+The relaxations run on one *persistent* HiGHS instance per program
+(:class:`PersistentLP`) built from the program's cached CSR rows.  Branch
+decisions only mutate column bounds and no-good cuts are appended as
+rows, so a node re-solve skips the matrix rebuild and parse of a per-call
+``scipy.optimize.linprog``.  The solver state is cleared before every
+solve, so the returned vertices — and therefore branching, optimum
+enumeration order, and TwoStep's removal orders — match the seed's
+per-call ``linprog`` branch & bound, which the test suite keeps as its
+oracle (``tests/oracles/lp_linprog.py``).  The match is exact when both
+HiGHS models hold the same rows in the same order; ``linprog`` moves
+equality rows after all inequality rows, which on degenerate
+mixed-sense programs can permute tied optima.  The HiGHS bindings
+bundled with scipy >= 1.15 are required.
 
 Also provided:
 
@@ -47,7 +38,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..errors import ILPError, ILPTimeoutError, InfeasibleError
 from .model import BinaryProgram
@@ -59,11 +49,9 @@ except ImportError:  # pragma: no cover - environment without the bindings
 
 _INT_TOL = 1e-6
 
-DEFAULT_LP_BACKEND = "highs" if _highs_core is not None else "linprog"
-
 
 class PersistentLP:
-    """One HiGHS instance per program: build once, mutate, re-solve warm.
+    """One HiGHS instance per program: build once, mutate, re-solve cold.
 
     The 0-1 box and every constraint row are loaded a single time; branch
     & bound nodes only change column bounds (restored after each solve)
@@ -71,11 +59,13 @@ class PersistentLP:
     cuts as new rows via :meth:`sync`.
     """
 
-    def __init__(self, program: BinaryProgram, warm: bool = False) -> None:
-        if _highs_core is None:  # pragma: no cover
-            raise ILPError("the HiGHS bindings are unavailable")
+    def __init__(self, program: BinaryProgram) -> None:
+        if _highs_core is None:
+            raise ILPError(
+                "the ILP solver needs the HiGHS bindings bundled with "
+                "scipy >= 1.15 (scipy.optimize._highspy); upgrade scipy"
+            )
         self.program = program
-        self.warm = bool(warm)
         n = program.n_vars
         self._highs = _highs_core._Highs()
         self._highs.setOptionValue("output_flag", False)
@@ -148,9 +138,9 @@ class PersistentLP:
         for index, value in columns:
             self._highs.changeColBounds(int(index), float(value), float(value))
         try:
-            if not self.warm:
-                # Cold solves reproduce the reference backend's vertices.
-                self._highs.clearSolver()
+            # Cold solves reproduce the per-call linprog vertices: a warm
+            # basis can land on a different vertex of a degenerate LP.
+            self._highs.clearSolver()
             self._highs.run()
             status = self._highs.getModelStatus()
             if status != _highs_core.HighsModelStatus.kOptimal:
@@ -167,25 +157,6 @@ class PersistentLP:
                 )
 
 
-def _resolve_backend(lp_backend: str | None) -> str:
-    backend = lp_backend or DEFAULT_LP_BACKEND
-    if backend not in ("highs", "highs-warm", "linprog"):
-        raise ILPError(
-            f"unknown lp_backend {backend!r}; use 'highs', 'highs-warm', or 'linprog'"
-        )
-    if backend != "linprog" and _highs_core is None:  # pragma: no cover
-        backend = "linprog"
-    return backend
-
-
-def _make_relaxation_solver(program: BinaryProgram, backend: str):
-    """Pick the LP relaxation solver for this program."""
-    if backend in ("highs", "highs-warm"):
-        persistent = PersistentLP(program, warm=backend == "highs-warm")
-        return persistent.solve_relaxation
-    return lambda extra_fixed: _lp_relaxation(program, extra_fixed)
-
-
 @dataclass
 class ILPSolution:
     """An integral assignment with its objective value."""
@@ -198,78 +169,23 @@ class ILPSolution:
         return self.values > 0.5
 
 
-def _lp_relaxation(
-    program: BinaryProgram, extra_fixed: dict[int, int]
-) -> tuple[float, np.ndarray] | None:
-    """Solve the LP relaxation; returns (objective, x) or None if infeasible."""
-    n = program.n_vars
-    c = np.zeros(n)
-    for index, coeff in program.objective.items():
-        c[index] = coeff
-
-    a_ub: list[np.ndarray] = []
-    b_ub: list[float] = []
-    a_eq: list[np.ndarray] = []
-    b_eq: list[float] = []
-    for constraint in program.constraints:
-        row = np.zeros(n)
-        for index, coeff in constraint.coeffs:
-            row[index] = coeff
-        if constraint.sense == "<=":
-            a_ub.append(row)
-            b_ub.append(constraint.rhs)
-        elif constraint.sense == ">=":
-            a_ub.append(-row)
-            b_ub.append(-constraint.rhs)
-        else:
-            a_eq.append(row)
-            b_eq.append(constraint.rhs)
-
-    bounds = [(0.0, 1.0)] * n
-    for index, value in program.fixed.items():
-        bounds[index] = (float(value), float(value))
-    for index, value in extra_fixed.items():
-        bounds[index] = (float(value), float(value))
-
-    result = optimize.linprog(
-        c,
-        A_ub=np.asarray(a_ub) if a_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=np.asarray(a_eq) if a_eq else None,
-        b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:
-        return None
-    return float(result.fun) + program.objective_constant, np.asarray(result.x)
-
-
 def solve(
     program: BinaryProgram,
     node_limit: int = 20000,
     time_limit: float | None = None,
-    lp_backend: str | None = None,
     _relaxation=None,
 ) -> ILPSolution:
     """Minimize the program exactly (within the node/time budget).
 
-    ``lp_backend`` picks the backend: ``"highs"`` / ``"highs-warm"``
-    (persistent instance, default when available) or ``"linprog"`` — the
-    seed implementation preserved verbatim in :func:`solve_reference`.
+    ``_relaxation`` lets :func:`enumerate_optima` share one live
+    :class:`PersistentLP` across its re-solves.
 
     Raises:
         InfeasibleError: no feasible 0-1 point exists.
         ILPTimeoutError: budget exhausted before proving optimality.
+        ILPError: the HiGHS bindings are missing (scipy < 1.15).
     """
-    if _relaxation is None:
-        backend = _resolve_backend(lp_backend)
-        if backend == "linprog":
-            return solve_reference(
-                program, node_limit=node_limit, time_limit=time_limit
-            )
-        _relaxation = _make_relaxation_solver(program, backend)
-    relaxation = _relaxation
+    relaxation = _relaxation or PersistentLP(program).solve_relaxation
     start = time.perf_counter()
     root = relaxation({})
     if root is None:
@@ -308,7 +224,7 @@ def solve(
                     best = ILPSolution(candidate, objective, nodes)
             continue
 
-        # Most fractional first; argmax keeps the reference tie-break
+        # Most fractional first; argmax keeps the seed's tie-break
         # (lowest index among equally fractional variables).
         branch_var = int(fractional[np.argmax(distance[fractional])])
         for value in (0, 1):
@@ -333,30 +249,20 @@ def enumerate_optima(
     max_solutions: int = 100,
     node_limit: int = 20000,
     time_limit: float | None = None,
-    lp_backend: str | None = None,
 ) -> list[ILPSolution]:
     """All optimal solutions, up to ``max_solutions``.
 
     Finds one optimum, then repeatedly adds a *no-good cut* excluding the
     last solution while constraining the objective to the optimal value.
     The length of the returned list (vs. ``max_solutions``) is TwoStep's
-    ambiguity measurement.  With the persistent backend the cuts are
-    appended to one live HiGHS model instead of being re-parsed from
-    scratch on every enumeration step.
+    ambiguity measurement.  The cuts are appended to one live HiGHS model
+    instead of being re-parsed from scratch on every enumeration step.
     """
-    backend = _resolve_backend(lp_backend)
-    if backend == "linprog":
-        return enumerate_optima_reference(
-            program,
-            max_solutions=max_solutions,
-            node_limit=node_limit,
-            time_limit=time_limit,
-        )
     # Work on a copy so the caller's program is untouched; one persistent
     # LP serves the base solve and every cut re-solve (the pin and cuts
     # are appended to the same live HiGHS model by sync()).
     restricted = program.clone()
-    relaxation = _make_relaxation_solver(restricted, backend)
+    relaxation = PersistentLP(restricted).solve_relaxation
     first = solve(
         program,
         node_limit=node_limit,
@@ -391,25 +297,7 @@ def enumerate_optima(
         if nxt.objective > optimum + 1e-6:
             break
         solutions.append(nxt)
-    if backend == "highs-warm":
-        return _canonical_order(solutions)
     return solutions
-
-
-def _canonical_order(solutions: list[ILPSolution]) -> list[ILPSolution]:
-    """Lexicographic tie-break over the enumerated (tied-optimal) optima.
-
-    Warm solves reuse the previous basis, so on degenerate LPs they can
-    land on different optimal vertices than a cold solve and *permute* the
-    discovery order of tied optima — removal orders downstream then depend
-    on solver-internal state.  Sorting the complete enumeration by variable
-    assignment (all objectives are equal at the optimum) makes
-    ``lp_backend="highs-warm"`` order-stable: the same solution set always
-    comes back in the same order, matching the canonically-sorted cold
-    enumeration.  Cold backends keep their raw discovery order, which is
-    pinned bit-identical between ``"highs"`` and ``"linprog"``.
-    """
-    return sorted(solutions, key=lambda solution: solution.values.tolist())
 
 
 def pick_solution(
@@ -419,143 +307,3 @@ def pick_solution(
     if not solutions:
         raise InfeasibleError("no solutions to pick from")
     return solutions[int(rng.integers(len(solutions)))]
-
-
-# ---------------------------------------------------------------------------
-# Reference backend: the seed implementation, preserved verbatim
-# ---------------------------------------------------------------------------
-#
-# ``lp_backend="linprog"`` routes here.  These functions rebuild a dense LP
-# and call ``scipy.optimize.linprog`` at every branch-and-bound node, exactly
-# as the original code did — per-coefficient feasibility checks included —
-# the benchmarks run them to anchor the persistent backend's speedup, and
-# the cold persistent backend is pinned to return bit-identical vertices
-# (both are HiGHS underneath).
-
-
-def _is_feasible_reference(program: BinaryProgram, x, tol: float = 1e-6) -> bool:
-    """The seed's coefficient-at-a-time feasibility check."""
-    for index, value in program.fixed.items():
-        if abs(float(x[index]) - value) > tol:
-            return False
-    for constraint in program.constraints:
-        lhs = sum(coeff * float(x[index]) for index, coeff in constraint.coeffs)
-        if constraint.sense == "<=" and lhs > constraint.rhs + tol:
-            return False
-        if constraint.sense == ">=" and lhs < constraint.rhs - tol:
-            return False
-        if constraint.sense == "=" and abs(lhs - constraint.rhs) > tol:
-            return False
-    return True
-
-
-def solve_reference(
-    program: BinaryProgram,
-    node_limit: int = 20000,
-    time_limit: float | None = None,
-) -> ILPSolution:
-    """Seed branch & bound over per-call scipy LP relaxations."""
-    start = time.perf_counter()
-    root = _lp_relaxation(program, {})
-    if root is None:
-        raise InfeasibleError("LP relaxation is infeasible")
-
-    counter = itertools.count()
-    heap: list[tuple[float, int, dict[int, int], np.ndarray]] = [
-        (root[0], next(counter), {}, root[1])
-    ]
-    best: ILPSolution | None = None
-    nodes = 0
-
-    while heap:
-        bound, _, fixed, x = heapq.heappop(heap)
-        if best is not None and bound >= best.objective - 1e-9:
-            continue
-        nodes += 1
-        if nodes > node_limit or (
-            time_limit is not None and time.perf_counter() - start > time_limit
-        ):
-            if best is not None:
-                return best
-            raise ILPTimeoutError(
-                f"branch & bound exhausted its budget after {nodes} nodes "
-                "without an incumbent"
-            )
-
-        fractional = [
-            index
-            for index in range(program.n_vars)
-            if min(x[index], 1.0 - x[index]) > _INT_TOL
-        ]
-        if not fractional:
-            candidate = np.round(x).astype(np.int8)
-            if _is_feasible_reference(program, candidate):
-                objective = program.objective_value(candidate)
-                if best is None or objective < best.objective - 1e-9:
-                    best = ILPSolution(candidate, objective, nodes)
-            continue
-
-        branch_var = max(fractional, key=lambda index: min(x[index], 1.0 - x[index]))
-        for value in (0, 1):
-            child_fixed = dict(fixed)
-            child_fixed[branch_var] = value
-            relaxed = _lp_relaxation(program, child_fixed)
-            if relaxed is None:
-                continue
-            child_bound, child_x = relaxed
-            if best is not None and child_bound >= best.objective - 1e-9:
-                continue
-            heapq.heappush(heap, (child_bound, next(counter), child_fixed, child_x))
-
-    if best is None:
-        raise InfeasibleError("no feasible 0-1 assignment exists")
-    best.nodes_explored = nodes
-    return best
-
-
-def enumerate_optima_reference(
-    program: BinaryProgram,
-    max_solutions: int = 100,
-    node_limit: int = 20000,
-    time_limit: float | None = None,
-) -> list[ILPSolution]:
-    """Seed optimum enumeration: copy the program, add cuts one dict at a time."""
-    first = solve_reference(program, node_limit=node_limit, time_limit=time_limit)
-    solutions = [first]
-    optimum = first.objective
-
-    restricted = BinaryProgram()
-    for index in range(program.n_vars):
-        restricted.add_var(program.name(index))
-    for index, value in program.fixed.items():
-        restricted.fix(index, value)
-    restricted.set_objective(program.objective, program.objective_constant)
-    for constraint in program.constraints:
-        restricted.add_constraint(
-            dict(constraint.coeffs), constraint.sense, constraint.rhs
-        )
-    restricted.add_constraint(
-        program.objective, "<=", optimum - program.objective_constant + 1e-6
-    )
-
-    while len(solutions) < max_solutions:
-        last = solutions[-1].values
-        coeffs: dict[int, float] = {}
-        rhs = 1.0
-        for index in range(restricted.n_vars):
-            if last[index] > 0.5:
-                coeffs[index] = -1.0
-                rhs -= 1.0
-            else:
-                coeffs[index] = 1.0
-        restricted.add_constraint(coeffs, ">=", rhs)
-        try:
-            nxt = solve_reference(
-                restricted, node_limit=node_limit, time_limit=time_limit
-            )
-        except InfeasibleError:
-            break
-        if nxt.objective > optimum + 1e-6:
-            break
-        solutions.append(nxt)
-    return solutions

@@ -196,7 +196,7 @@ class TestMain:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         root = _write_project(tmp_path, "def f(x):\n    return x\n")
         rc = analysis_main(
-            ["--root", str(root), "--strict", "--no-golden", "--no-knob-docs"]
+            ["--root", str(root), "--strict", "--no-golden"]
         )
         assert rc == 0
         assert "0 finding(s)" in capsys.readouterr().out
@@ -210,7 +210,7 @@ class TestMain:
                     return self._cache[id(k)]
             """,
         )
-        rc = analysis_main(["--root", str(root), "--no-golden", "--no-knob-docs"])
+        rc = analysis_main(["--root", str(root), "--no-golden"])
         assert rc == 1
         assert "DET001" in capsys.readouterr().out
 
@@ -227,10 +227,10 @@ class TestMain:
             """,
         )
         relaxed = analysis_main(
-            ["--root", str(root), "--no-golden", "--no-knob-docs"]
+            ["--root", str(root), "--no-golden"]
         )
         strict = analysis_main(
-            ["--root", str(root), "--strict", "--no-golden", "--no-knob-docs"]
+            ["--root", str(root), "--strict", "--no-golden"]
         )
         out = capsys.readouterr().out
         assert relaxed == 0
@@ -252,14 +252,14 @@ class TestMain:
             [
                 "--root", str(root),
                 "--baseline", str(baseline),
-                "--strict", "--no-golden", "--no-knob-docs",
+                "--strict", "--no-golden",
             ]
         )
         assert rc == 0
 
     def test_syntax_error_is_reported(self, tmp_path, capsys):
         root = _write_project(tmp_path, "def broken(:\n")
-        rc = analysis_main(["--root", str(root), "--no-golden", "--no-knob-docs"])
+        rc = analysis_main(["--root", str(root), "--no-golden"])
         assert rc == 1
         assert "syntax error" in capsys.readouterr().out
 

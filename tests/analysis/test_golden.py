@@ -112,6 +112,31 @@ class TestCheckGolden:
         assert len(found) == 1
         assert found[0].rule == "GOLD001"
 
+    def test_entry_under_tests_resolves_from_repo_root(self, project):
+        # Test oracles live in tests/ (not src/): a ``tests.``-prefixed
+        # module resolves under the repo root and is pinned the same way.
+        root, manifest = project
+        oracles = root / "tests" / "oracles"
+        oracles.mkdir()
+        oracle = oracles / "ref.py"
+        oracle.write_text("def oracle(x):\n    return x - 1\n")
+        digest, lineno = body_hash(root, "tests.oracles.ref", "oracle")
+        assert digest is not None and lineno == 1
+        manifest.write_text(manifest.read_text() + textwrap.dedent(f"""
+            [[golden]]
+            module = "tests.oracles.ref"
+            qualname = "oracle"
+            sha256 = "{digest}"
+            test_pattern = "oracle"
+        """))
+        assert gold_findings(root, manifest) == []
+
+        oracle.write_text("def oracle(x):\n    return x - 2\n")
+        found = gold_findings(root, manifest)
+        assert len(found) == 1
+        assert "tests.oracles.ref:oracle" in found[0].message
+        assert found[0].path == "tests/oracles/ref.py"
+
 
 class TestUpdateManifest:
     def test_update_refreshes_hashes(self, project):
@@ -146,5 +171,5 @@ class TestShippedManifest:
 
         labels = {entry.label for entry in load_manifest(DEFAULT_MANIFEST)}
         assert "repro.ilp.encode:TiresiasEncoder" in labels
-        assert "repro.ilp.solver:_lp_relaxation" in labels
+        assert "tests.oracles.lp_linprog:_lp_relaxation" in labels
         assert "repro.core.rain:RainDebugger._run_serial" in labels
