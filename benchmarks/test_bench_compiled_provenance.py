@@ -6,7 +6,8 @@ DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
 - the compiled path (columnar executor emitting node arrays, batched
   relaxation objective, persistent HiGHS LP) must produce removal
   orders **identical** to the interpreted reference path (tree provenance,
-  per-row runtime caches, per-call scipy ``linprog``), and
+  per-row runtime caches, interpreted objective, tree ILP encoder,
+  per-call scipy ``linprog``), and
 - the combined TwoStep + Holistic Encode (+ query execution, folded into
   Encode as in fig5) seconds per iteration must improve by at least 3x,
   with Holistic individually at least 3x and TwoStep at least 2.5x.
@@ -15,13 +16,16 @@ DBLP n=400 / n_query=300 configuration): for both TwoStep and Holistic,
   solves themselves, which the identical-orders requirement pins to the
   reference solve sequence.
 
-The reference configuration reaches the per-call ``linprog`` branch &
-bound by patching the test oracle (``tests/oracles/lp_linprog.py``) over
-the ``enumerate_optima`` name TwoStep looks up; the production solver has
-no backend switch.
+The reference configuration runs the loop inside the tree oracle's
+``tree_reference()`` (``tests/oracles/tree_provenance.py``) and reaches
+the per-call ``linprog`` branch & bound by patching the test oracle
+(``tests/oracles/lp_linprog.py``) over the ``enumerate_optima`` name
+TwoStep looks up; the library has no provenance or backend switch.
 
 Fast tier: three train-rank-fix iterations per configuration.
 """
+
+import contextlib
 
 import pytest
 from conftest import save_and_print
@@ -29,14 +33,15 @@ from conftest import save_and_print
 from repro.core import rankers
 from repro.experiments.common import ExperimentResult, build_dblp_setting, run_method
 from tests.oracles.lp_linprog import enumerate_optima_reference
+from tests.oracles.tree_provenance import tree_reference
 
 CONFIGS = {
     "reference": {
-        "provenance": "tree",
+        "runtime": tree_reference,
         "enumerate_optima": enumerate_optima_reference,
     },
     "compiled": {
-        "provenance": "compiled",
+        "runtime": contextlib.nullcontext,
         "enumerate_optima": rankers.enumerate_optima,
     },
 }
@@ -44,7 +49,7 @@ CONFIGS = {
 
 def _run(setting, initial_params, method, config):
     setting.model.set_params(initial_params)
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, config["runtime"]():
         patch.setattr(rankers, "enumerate_optima", config["enumerate_optima"])
         report = run_method(
             setting.database,
@@ -57,7 +62,6 @@ def _run(setting, initial_params, method, config):
             k_per_iteration=10,
             seed=0,
             reset_params=initial_params,
-            provenance=config["provenance"],
         )
     iterations = max(1, len([r for r in report.iterations if r.removed]))
     timings = report.timings

@@ -5,14 +5,12 @@ Usage::
     python -m repro.cli list
     python -m repro.cli run fig3 --out results/
     python -m repro.cli run all --out results/
-    python -m repro.cli serve --check
+    python -m repro.cli serve
     python -m repro.cli lint --strict
 
 ``serve`` runs Rain on the multi-case Adult serving workload (one
 complaint case per aggregate group of Q6/Q7): it reports the per-stage
-timing breakdown and the execute stage's plan-dedup stats, and
-``--check`` re-runs on the ``provenance="tree"`` golden reference to
-verify the removal orders are identical.
+timing breakdown and the execute stage's plan-dedup stats.
 
 Each experiment prints its result table (the same tables the benchmark
 suite writes under ``benchmarks/out/``) and optionally saves it.
@@ -59,7 +57,7 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "fig11": (fig11_nn.run, "CNN vs logistic debugging (appendix D)"),
     "thm_a1": (thm_a1.run, "Theorem A.1 ambiguity validation"),
     "thm_c1": (thm_c1.run, "Theorem C.1 value-of-complaints validation"),
-    "serving": (serving.run, "Multi-query serving: plan dedup vs tree reference"),
+    "serving": (serving.run, "Multi-query serving: plan dedup on 12 Adult cases"),
     "ilp_encode": (ilp_encode.run, "Tree vs array-lowered ILP encode (fig6 joins)"),
     "sweep": (scenario_sweep.run, "ENRON/Adult corruption-rate encode/solve sweep"),
 }
@@ -84,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--n-query", type=int, default=2000)
     serve.add_argument("--flip-fraction", type=float, default=0.5)
     serve.add_argument("--max-removals", type=int, default=20)
-    serve.add_argument(
-        "--check", action="store_true",
-        help="re-run with tree provenance and verify the removal orders "
-             "are identical",
-    )
     sub.add_parser(
         "lint",
         help="static determinism & invariant analysis; all arguments are "
@@ -108,23 +101,15 @@ def _serve(args) -> int:
         n_query=args.n_query,
         seed=args.seed,
     )
-    initial_params = setting.model.get_params()
-
-    def run_once(provenance):
-        setting.model.set_params(initial_params)
-        debugger = RainDebugger(
-            setting.database,
-            "income",
-            setting.X_train,
-            setting.y_corrupted,
-            setting.cases,
-            method="holistic",
-            rng=args.seed,
-            provenance=provenance,
-        )
-        return debugger.run(max_removals=args.max_removals)
-
-    report = run_once("compiled")
+    report = RainDebugger(
+        setting.database,
+        "income",
+        setting.X_train,
+        setting.y_corrupted,
+        setting.cases,
+        method="holistic",
+        rng=args.seed,
+    ).run(max_removals=args.max_removals)
     print(f"served {len(setting.cases)} complaint cases "
           f"over {setting.n_distinct_plans} distinct plans")
     for record in report.iterations:
@@ -138,12 +123,6 @@ def _serve(args) -> int:
         print(f"{label:>8}: {total:.3f}s")
     print(f"removal order ({len(report.removal_order)}): "
           f"{report.removal_order}")
-    if args.check:
-        tree = run_once("tree")
-        if tree.removal_order != report.removal_order:
-            print("DETERMINISM CHECK FAILED: deduped != tree removal order")
-            return 1
-        print("determinism check passed: deduped == tree removal order")
     return 0
 
 

@@ -126,25 +126,13 @@ class TupleComplaint:
         return result.tuple_condition(self.row_index)
 
     def _lineage_condition(self, result: QueryResult) -> prov.BoolExpr:
-        batch = result.candidate_batch
-        if batch is None:
-            raise ComplaintError("lineage complaints need a debug-mode result")
-        wanted = dict(self.lineage)
-        unknown = set(wanted) - set(batch.alias_row_ids)
-        if unknown:
-            raise ComplaintError(
-                f"lineage aliases {sorted(unknown)} not in the query "
-                f"(available: {sorted(batch.alias_row_ids)})"
-            )
-        for index in range(len(batch)):
-            if all(
-                int(batch.alias_row_ids[alias][index]) == row_id
-                for alias, row_id in wanted.items()
-            ):
-                return batch.condition(index)
-        # The tuple is not even a candidate (deterministically filtered):
-        # it can never exist, so the complaint is vacuously satisfied.
-        return prov.FALSE
+        index = _lineage_candidate(result, self.lineage)
+        if index is None:
+            # The tuple is not even a candidate (deterministically
+            # filtered): it can never exist, so the complaint is
+            # vacuously satisfied.
+            return prov.FALSE
+        return result.candidate_batch.condition(index)
 
     def is_satisfied(self, result: QueryResult) -> bool:
         return not self.condition(result).evaluate(result.assignment())
@@ -196,6 +184,29 @@ class ComplaintCase:
             raise ComplaintError("a complaint case needs at least one complaint")
 
 
+def _lineage_candidate(result: QueryResult, lineage: tuple) -> int | None:
+    """Index in ``result.candidate_batch`` of the tuple pinned by ``lineage``.
+
+    ``lineage`` is a :class:`TupleComplaint`'s ``(alias, row_id)`` pairs.
+    ``None`` means the tuple is not even a candidate.
+    """
+    batch = result.candidate_batch
+    if batch is None:
+        raise ComplaintError("lineage complaints need a debug-mode result")
+    wanted = dict(lineage)
+    unknown = set(wanted) - set(batch.alias_row_ids)
+    if unknown:
+        raise ComplaintError(
+            f"lineage aliases {sorted(unknown)} not in the query "
+            f"(available: {sorted(batch.alias_row_ids)})"
+        )
+    mask = np.ones(len(batch), dtype=bool)
+    for alias, row_id in wanted.items():
+        mask &= batch.alias_row_ids[alias] == row_id
+    matches = np.flatnonzero(mask)
+    return int(matches[0]) if matches.size else None
+
+
 def _complaint_node(complaint: Complaint, result: QueryResult) -> int | None:
     """The compiled node id a complaint's satisfaction depends on.
 
@@ -214,23 +225,12 @@ def _complaint_node(complaint: Complaint, result: QueryResult) -> int | None:
             raise ComplaintError("condition nodes need compiled mode")
         return node
     if complaint.lineage is not None:
-        batch = result.candidate_batch
-        if batch is None or result.candidate_cond_nodes is None:
-            raise ComplaintError("lineage complaints need a compiled debug result")
-        wanted = dict(complaint.lineage)
-        unknown = set(wanted) - set(batch.alias_row_ids)
-        if unknown:
-            raise ComplaintError(
-                f"lineage aliases {sorted(unknown)} not in the query "
-                f"(available: {sorted(batch.alias_row_ids)})"
-            )
-        mask = np.ones(len(batch), dtype=bool)
-        for alias, row_id in wanted.items():
-            mask &= np.asarray(batch.alias_row_ids[alias]) == row_id
-        matches = np.flatnonzero(mask)
-        if matches.size == 0:
+        index = _lineage_candidate(result, complaint.lineage)
+        if index is None:
             return None
-        return int(result.candidate_cond_nodes[int(matches[0])])
+        if result.candidate_cond_nodes is None:
+            raise ComplaintError("lineage complaints need a compiled debug result")
+        return int(result.candidate_cond_nodes[index])
     return result.tuple_condition_node(complaint.row_index)
 
 
@@ -257,15 +257,15 @@ def all_satisfied_columnar(
     evaluated in a single vectorized discrete forward pass
     (:class:`~repro.relational.compile.CompiledProvenance` over the
     result's pool), with the same per-complaint satisfaction predicates
-    applied to the root values.  Prediction complaints and tree-mode
-    results fall back to the per-complaint ``is_satisfied``.
+    applied to the root values.  Prediction complaints fall back to the
+    per-complaint ``is_satisfied``.
     """
     from ..relational.compile import CompiledProvenance
 
     grouped: dict[int, tuple[QueryResult, list[int], list[Complaint]]] = {}
     for case, result in case_results:
         for complaint in case.complaints:
-            if isinstance(complaint, PredictionComplaint) or not result.compiled:
+            if isinstance(complaint, PredictionComplaint):
                 if not complaint.is_satisfied(result):
                     return False
                 continue

@@ -62,15 +62,7 @@ class RelabelDebugger(RainDebugger):
                     warm_start=self.model.is_fitted, **self.fit_kwargs,
                 )
             with watch.time("execute"):
-                case_results = [
-                    (
-                        case,
-                        self.executor.execute(
-                            plan, debug=True, provenance=self.provenance
-                        ),
-                    )
-                    for case, plan in zip(self.cases, self._plans)
-                ]
+                case_results, execute_stats = self._execute_stage()
             context = IterationContext(
                 model=self.model,
                 X_active=self.X_train,
@@ -83,6 +75,7 @@ class RelabelDebugger(RainDebugger):
                 rng=self.rng,
                 watch=watch,
             )
+            context.diagnostics["execute_cache"] = execute_stats
             scores = np.asarray(ranker.scores(context), dtype=np.float64)
             scores[touched] = -np.inf  # never flip the same record twice
             if not np.isfinite(scores).any() or np.allclose(

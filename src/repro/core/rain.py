@@ -29,11 +29,10 @@ otherwise use Holistic.
 
 Execute dedup: each iteration runs every *distinct* plan once (keyed by
 plan fingerprint through :class:`~repro.relational.executor.ExecutionCache`)
-and shares the debug result across all cases over that plan.  A compiled
-debug result is a pure function of (plan, data, θ), so sharing it never
-changes an answer; ``provenance="tree"`` is the golden reference path and
-re-executes per case.  The complaint drain evaluates every complaint node
-over one result in a single vectorized pass
+and shares the debug result across all cases over that plan.  A debug
+result is a pure function of (plan, data, θ), so sharing it never changes
+an answer.  The complaint drain evaluates every complaint node over one
+result in a single vectorized pass
 (:func:`~repro.complaints.complaint.all_satisfied_columnar`).
 """
 
@@ -113,7 +112,6 @@ class RainDebugger:
         cg_max_iter: int | None = None,
         cg_tol: float = 1e-8,
         warm_start_cg: bool = True,
-        provenance: str = "compiled",
     ) -> None:
         if not cases and method in ("auto", "twostep", "holistic"):
             raise DebuggingError(
@@ -140,11 +138,6 @@ class RainDebugger:
         self.cg_max_iter = cg_max_iter
         self.cg_tol = float(cg_tol)
         self.warm_start_cg = bool(warm_start_cg)
-        if provenance not in ("compiled", "tree"):
-            raise DebuggingError(
-                f"provenance must be 'compiled' or 'tree', got {provenance!r}"
-            )
-        self.provenance = provenance
         # Per-sample gradients survive across iterations while θ* is
         # unchanged; top-k deletions only slice rows out of the cached matrix.
         self._grad_cache = PerSampleGradCache()
@@ -170,7 +163,7 @@ class RainDebugger:
             return self.requested_method
         self._ensure_fitted()
         for case, plan in zip(self.cases, self._plans):
-            result = self.executor.execute(plan, debug=True, provenance=self.provenance)
+            result = self.executor.execute(plan, debug=True)
             try:
                 encoder = make_encoder(result)
                 encoder.add_complaints(case.complaints)
@@ -219,7 +212,7 @@ class RainDebugger:
 
     def _execute_stage(self) -> tuple[list[tuple[ComplaintCase, QueryResult]], dict]:
         """Every case's debug result, each distinct plan executed once."""
-        cache = ExecutionCache(self.executor, provenance=self.provenance)
+        cache = ExecutionCache(self.executor)
         case_results = [
             (case, cache.fetch(plan, fingerprint=fingerprint))
             for case, plan, fingerprint in zip(

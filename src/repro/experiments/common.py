@@ -171,7 +171,6 @@ def run_method(
     ranker_kwargs: dict | None = None,
     reset_params: np.ndarray | None = None,
     cg_max_iter: int | None = None,
-    provenance: str = "compiled",
 ):
     """Run one approach; optionally reset the shared model's params first.
 
@@ -193,7 +192,6 @@ def run_method(
         rng=seed,
         ranker_kwargs=ranker_kwargs or {},
         cg_max_iter=cg_max_iter,
-        provenance=provenance,
     )
     return debugger.run(max_removals=max_removals, k_per_iteration=k_per_iteration)
 

@@ -16,8 +16,8 @@ default: the executor emits provenance as node arrays, Holistic's relaxed
 objective is one batched forward/backward sweep, and TwoStep's ILP runs
 on one persistent HiGHS instance per program (the only LP solver).
 ``benchmarks/test_bench_compiled_provenance`` measures this same
-configuration against the interpreted reference (tree provenance + the
-per-call ``linprog`` test oracle) and asserts identical removal orders.
+configuration against the interpreted reference (the tree-provenance and
+per-call ``linprog`` test oracles) and asserts identical removal orders.
 
 We fold query execution time into Encode, matching the paper's grouping.
 """

@@ -259,7 +259,7 @@ def run(
             best = float("inf")
             encoder = None
             for _ in range(max(1, rounds)):
-                fresh = executor.execute(plan, debug=True, provenance="compiled")
+                fresh = executor.execute(plan, debug=True)
                 complaints = complaints_fn(fresh)
                 start = time.perf_counter()
                 encoder = encoder_cls(fresh)
@@ -277,9 +277,7 @@ def run(
         ) == _program_signature(compiled_encoder.program)
 
         parity_plan, parity_fn = parity_scenarios[name]
-        parity_result = parity_executor.execute(
-            parity_plan, debug=True, provenance="compiled"
-        )
+        parity_result = parity_executor.execute(parity_plan, debug=True)
         parity_tree = TiresiasEncoder(parity_result)
         parity_compiled = CompiledILPEncoder(parity_result)
         for complaint in parity_fn(parity_result):

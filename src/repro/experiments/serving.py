@@ -11,8 +11,7 @@ plans.
 ``run`` measures the Rain loop's plan dedup end to end: the execute stage
 collapses C case executions into P distinct-plan executions per iteration
 (plan-fingerprint dedup), and Holistic evaluates one probability matrix
-per distinct result instead of one per case.  The ``provenance="tree"``
-golden reference re-executes every case; the removal orders must match.
+per distinct result instead of one per case.
 """
 
 from __future__ import annotations
@@ -110,55 +109,42 @@ def run(
     k_per_iteration: int = 10,
     seed: int = 0,
 ) -> ExperimentResult:
-    """The deduped loop against the ``provenance="tree"`` reference.
+    """Holistic over the serving workload, plan dedup on.
 
-    One row per run: wall-clock seconds, whether the removal order matches
-    the tree order, and the execute stage's per-iteration dedup counters
-    (``hits`` are executions saved, ``misses`` executions run).
+    One row: wall-clock seconds and the execute stage's per-iteration
+    dedup counters (``hits`` are executions saved, ``misses`` executions
+    run); the removal order lands in ``series["removal_order"]``.
     """
     setting = build_serving_setting(
         flip_fraction, n_train=n_train, n_query=n_query, seed=seed
     )
-    initial_params = setting.model.get_params()
     result = ExperimentResult("serving")
-
-    reports = {}
-    seconds = {}
-    for provenance in ("tree", "compiled"):
-        start = time.perf_counter()
-        reports[provenance] = run_method(
-            setting.database,
-            "income",
-            setting.X_train,
-            setting.y_corrupted,
-            setting.cases,
-            "holistic",
-            max_removals=max_removals,
-            k_per_iteration=k_per_iteration,
-            seed=seed,
-            reset_params=initial_params,
-            provenance=provenance,
-        )
-        seconds[provenance] = time.perf_counter() - start
-
-    tree_order = reports["tree"].removal_order
-    for provenance in ("compiled", "tree"):
-        report = reports[provenance]
-        caches = [record.diagnostics["execute_cache"] for record in report.iterations]
-        result.rows.append(
-            {
-                "provenance": provenance,
-                "n_cases": len(setting.cases),
-                "distinct_plans": caches[0]["n_distinct_plans"],
-                "hits": [cache["hits"] for cache in caches],
-                "misses": [cache["misses"] for cache in caches],
-                "seconds": seconds[provenance],
-                "order_matches_tree": report.removal_order == tree_order,
-            }
-        )
-        result.series[f"removal_order/{provenance}"] = report.removal_order
+    start = time.perf_counter()
+    report = run_method(
+        setting.database,
+        "income",
+        setting.X_train,
+        setting.y_corrupted,
+        setting.cases,
+        "holistic",
+        max_removals=max_removals,
+        k_per_iteration=k_per_iteration,
+        seed=seed,
+    )
+    seconds = time.perf_counter() - start
+    caches = [record.diagnostics["execute_cache"] for record in report.iterations]
+    result.rows.append(
+        {
+            "n_cases": len(setting.cases),
+            "distinct_plans": caches[0]["n_distinct_plans"],
+            "hits": [cache["hits"] for cache in caches],
+            "misses": [cache["misses"] for cache in caches],
+            "seconds": seconds,
+        }
+    )
+    result.series["removal_order"] = report.removal_order
     result.notes.append(
-        "hits/misses per iteration: executions saved and run; the compiled "
-        "run executes each distinct plan once, the tree reference every case."
+        "hits/misses per iteration: executions saved and run; each distinct "
+        "plan executes once per iteration."
     )
     return result

@@ -16,9 +16,10 @@ Two encoders produce byte-identical programs:
 
 - :class:`TiresiasEncoder` — the golden reference; walks expression trees
   recursively, one ``add_var``/``add_constraint`` per node.  It is the
-  only encoder for tree-provenance results.
-- :class:`CompiledILPEncoder` — the array path for compiled-provenance
-  results; allocates aux variables in bulk per complaint, emits the
+  only encoder for results without a node pool (the tree-provenance test
+  oracle's).
+- :class:`CompiledILPEncoder` — the array path for results with a node
+  pool; allocates aux variables in bulk per complaint, emits the
   AND/OR linking inequalities as CSR constraint blocks straight from the
   :class:`~repro.relational.compile.NodePool` arrays, and dedups shared
   subtrees across complaints by keying aux variables on canonical pool
@@ -28,8 +29,8 @@ Two encoders produce byte-identical programs:
   optimal solutions *and* the enumeration order of tied optima match.
 
 :func:`make_encoder` picks between them from the result alone: the
-compiled encoder when the result carries compiled provenance, the tree
-walk otherwise.
+compiled encoder when the result carries a node pool, the tree walk
+otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from ..complaints.complaint import (
     PredictionComplaint,
     TupleComplaint,
     ValueComplaint,
+    _lineage_candidate,
 )
 from ..errors import ComplaintError, ILPError
 from ..relational import provenance as prov
@@ -64,10 +66,10 @@ from .solver import ILPSolution
 Affine = tuple[dict[int, float], float]
 
 def make_encoder(result: QueryResult) -> "TiresiasEncoder":
-    """The TwoStep encoder for this result: array path when provenance is compiled.
+    """The TwoStep encoder for this result: array path when it has a node pool.
 
-    Tree-mode results have no node pool, so they get the tree-walking
-    reference encoder (both encoders build byte-identical programs).
+    Pool-less results (the tree-provenance test oracle's) get the
+    tree-walking reference encoder (both build byte-identical programs).
     """
     if getattr(result, "compiled", False):
         return CompiledILPEncoder(result)
@@ -563,23 +565,8 @@ class CompiledILPEncoder(TiresiasEncoder):
                     return int(group.condition_node)
             raise ComplaintError(f"no group with key {complaint.group_key!r}")
         if complaint.lineage is not None:
-            batch = result.candidate_batch
-            if batch is None:
-                raise ComplaintError("lineage complaints need a debug-mode result")
-            wanted = dict(complaint.lineage)
-            unknown = set(wanted) - set(batch.alias_row_ids)
-            if unknown:
-                raise ComplaintError(
-                    f"lineage aliases {sorted(unknown)} not in the query "
-                    f"(available: {sorted(batch.alias_row_ids)})"
-                )
-            for index in range(len(batch)):
-                if all(
-                    int(batch.alias_row_ids[alias][index]) == row_id
-                    for alias, row_id in wanted.items()
-                ):
-                    return int(result.candidate_cond_nodes[index])
-            return None
+            index = _lineage_candidate(result, complaint.lineage)
+            return None if index is None else int(result.candidate_cond_nodes[index])
         return int(result.tuple_condition_node(complaint.row_index))
 
     # -- cell decomposition ----------------------------------------------------

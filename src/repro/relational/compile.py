@@ -32,11 +32,10 @@ Three evaluation modes share the same tape:
 
 The executor writes nodes directly in compiled form (one bulk constructor
 call per operator per batch — see :meth:`NodePool.atoms`,
-:meth:`NodePool.and2`, :meth:`NodePool.or_segments`); tree-built provenance
-from the golden reference path can be lowered with
-:func:`NodePool.add_expr`, and any compiled node can be materialized back
-into an equivalent expression tree with :func:`NodePool.to_expr` for
-consumers that still walk trees (the ILP encoder, complaint replay).
+:meth:`NodePool.and2`, :meth:`NodePool.or_segments`), and any compiled node
+can be materialized back into an equivalent expression tree with
+:func:`NodePool.to_expr` for consumers that still walk trees (the ILP
+encoder, complaint replay).
 
 Worked example — ``COUNT(*) WHERE predict(x) = 'match'`` over three rows::
 
@@ -452,84 +451,6 @@ class NodePool:
             return self._append_scalar(OP_CONST, value=0.0)
         return self._append_scalar(OP_ADD, children=children, coeffs=coeffs)
 
-    # -- compiling existing expression trees ------------------------------------------
-
-    def add_expr(self, expr: prov.BoolExpr | prov.NumExpr) -> int:
-        """Lower one interpreted expression tree/DAG into the pool."""
-        memo: dict[int, int] = {}
-        post: list[object] = []
-        stack: list[tuple[object, bool]] = [(expr, False)]
-        seen: set[int] = set()
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                post.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for child in _tree_children(node):
-                if id(child) not in seen:
-                    stack.append((child, False))
-        for node in post:
-            if id(node) in memo:
-                continue
-            memo[id(node)] = self._lower_one(node, memo)
-        return memo[id(expr)]
-
-    def add_exprs(self, exprs: Sequence[prov.BoolExpr | prov.NumExpr]) -> np.ndarray:
-        return np.asarray([self.add_expr(expr) for expr in exprs], dtype=np.int64)
-
-    def _lower_one(self, node, memo: dict[int, int]) -> int:
-        if isinstance(node, prov.TrueExpr):
-            return TRUE_NODE
-        if isinstance(node, prov.FalseExpr):
-            return FALSE_NODE
-        if isinstance(node, prov.PredIs):
-            return self.atom(node.site_id, node.label)
-        if isinstance(node, prov.NotExpr):
-            return self._append_scalar(
-                OP_NOT, children=(memo[id(node.child)],), is_bool=True
-            )
-        if isinstance(node, prov.AndExpr):
-            return self._append_scalar(
-                OP_AND,
-                children=[memo[id(child)] for child in node.children],
-                is_bool=True,
-            )
-        if isinstance(node, prov.OrExpr):
-            return self._append_scalar(
-                OP_OR,
-                children=[memo[id(child)] for child in node.children],
-                is_bool=True,
-            )
-        if isinstance(node, prov.ConstNum):
-            return self._append_scalar(OP_CONST, value=node.value)
-        if isinstance(node, prov.BoolAsNum):
-            # Identity under both discrete and relaxed semantics.
-            return memo[id(node.expr)]
-        if isinstance(node, prov.LinearSum):
-            return self._append_scalar(
-                OP_ADD,
-                children=[memo[id(cond)] for _, cond in node.terms],
-                coeffs=[coeff for coeff, _ in node.terms],
-            )
-        if isinstance(node, prov.AddExpr):
-            return self._append_scalar(
-                OP_ADD, children=[memo[id(child)] for child in node.children]
-            )
-        if isinstance(node, prov.MulExpr):
-            return self._append_scalar(
-                OP_MUL, children=[memo[id(child)] for child in node.children]
-            )
-        if isinstance(node, prov.DivExpr):
-            return self._append_scalar(
-                OP_DIV,
-                children=(memo[id(node.numerator)], memo[id(node.denominator)]),
-            )
-        raise ProvenanceError(f"cannot compile node of type {type(node).__name__}")
-
     # -- materializing compiled nodes back into trees --------------------------------------
 
     def to_expr(self, node: int) -> prov.BoolExpr | prov.NumExpr:
@@ -680,20 +601,6 @@ class NodePool:
 
 def _as_num(expr):
     return prov.BoolAsNum(expr) if isinstance(expr, prov.BoolExpr) else expr
-
-
-def _tree_children(node) -> Sequence:
-    if isinstance(node, (prov.AndExpr, prov.OrExpr, prov.AddExpr, prov.MulExpr)):
-        return node.children
-    if isinstance(node, prov.NotExpr):
-        return (node.child,)
-    if isinstance(node, prov.BoolAsNum):
-        return (node.expr,)
-    if isinstance(node, prov.LinearSum):
-        return tuple(cond for _, cond in node.terms)
-    if isinstance(node, prov.DivExpr):
-        return (node.numerator, node.denominator)
-    return ()
 
 
 class _FrozenPool:

@@ -3,11 +3,9 @@
 Intermediate results flow through the executor as :class:`TupleBatch`
 objects: a set of qualified columns (``alias.column``) plus, per aliased
 base relation, the base row ids each output tuple derives from.  In debug
-mode each tuple additionally carries its boolean existence condition —
-either a tree (:class:`~repro.relational.provenance.BoolExpr`, the golden
-reference path) or a node id into the runtime's shared
-:class:`~repro.relational.compile.NodePool` (the compiled path, one int64
-per tuple).
+mode each tuple additionally carries its boolean existence condition as a
+node id into the runtime's shared
+:class:`~repro.relational.compile.NodePool` (one int64 per tuple).
 
 :class:`QueryRuntime` holds everything that outlives one batch: the model
 registry, the inference-site registry, and the per-site prediction cache.
@@ -32,20 +30,11 @@ from .schema import Database
 class QueryRuntime:
     """Per-execution state: models, inference sites, prediction cache."""
 
-    def __init__(
-        self, database: Database, debug: bool = False, provenance: str = "compiled"
-    ) -> None:
-        if provenance not in ("compiled", "tree"):
-            raise QueryError(
-                f"provenance must be 'compiled' or 'tree', got {provenance!r}"
-            )
+    def __init__(self, database: Database, debug: bool = False) -> None:
         self.database = database
         self.debug = debug
-        self.provenance = provenance
         self.sites = SiteRegistry()
-        self.pool: NodePool | None = (
-            NodePool() if (debug and provenance == "compiled") else None
-        )
+        self.pool: NodePool | None = NodePool() if debug else None
         # (model_name, relation_name) -> dense row_id-indexed caches.
         self._pred_known: dict[tuple[str, str], np.ndarray] = {}
         self._pred_labels: dict[tuple[str, str], np.ndarray] = {}
@@ -107,8 +96,6 @@ class QueryRuntime:
         known, labels = self._pred_store(
             model_name, relation_name, int(row_ids.max()) + 1
         )
-        if self.provenance == "tree":
-            return self._predict_reference(model, known, labels, row_ids, features)
         missing = ~known[row_ids]
         if np.any(missing):
             positions = np.flatnonzero(missing)
@@ -119,33 +106,6 @@ class QueryRuntime:
             known[unique_rows] = True
         # Re-infer the natural dtype (str/int) the way per-row caching did.
         return np.asarray(labels[row_ids].tolist())
-
-    def _predict_reference(
-        self,
-        model,
-        known: np.ndarray,
-        labels: np.ndarray,
-        row_ids: np.ndarray,
-        features: np.ndarray,
-    ) -> np.ndarray:
-        """The seed's row-at-a-time cache probe (golden-reference path)."""
-        missing_positions = [
-            position
-            for position, row_id in enumerate(row_ids)
-            if not known[int(row_id)]
-        ]
-        if missing_positions:
-            missing_features = features[missing_positions]
-            predicted = model.predict(missing_features)
-            for position, label in zip(missing_positions, predicted):
-                cell = (
-                    label.item()
-                    if np.ndim(label) == 0 and hasattr(label, "item")
-                    else label
-                )
-                labels[int(row_ids[position])] = cell
-                known[int(row_ids[position])] = True
-        return np.asarray([labels[int(row_id)] for row_id in row_ids])
 
     # -- inference sites ----------------------------------------------------------
 
@@ -169,10 +129,6 @@ class QueryRuntime:
         new sites so the current assignment is always one array gather away.
         """
         row_ids = np.asarray(row_ids, dtype=np.int64)
-        if self.provenance == "tree":
-            return self._intern_sites_reference(
-                model_name, relation_name, row_ids, features
-            )
         site_ids, new_rows, first_new = self.sites.intern_batch(
             model_name, relation_name, row_ids
         )
@@ -199,32 +155,6 @@ class QueryRuntime:
                 ]
                 self._labels_known[new_sites[have]] = True
         return site_ids
-
-    def _intern_sites_reference(
-        self,
-        model_name: str,
-        relation_name: str,
-        row_ids: np.ndarray,
-        features: np.ndarray | None,
-    ) -> np.ndarray:
-        """The seed's site-at-a-time interning loop (golden-reference path)."""
-        site_ids = []
-        for position, row_id in enumerate(row_ids):
-            site = self.sites.intern(model_name, relation_name, int(row_id))
-            site_ids.append(site.site_id)
-            self._grow_site_stores(len(self.sites))
-            if features is not None and self._feat_rows[site.site_id] < 0:
-                self._feat_blocks.append(np.asarray(features[position])[None])
-                self._feat_cat = None
-                self._feat_rows[site.site_id] = self._feat_total
-                self._feat_total += 1
-            if not self._labels_known[site.site_id]:
-                try:
-                    self._labels[site.site_id] = self.prediction_for_site(site.key)
-                    self._labels_known[site.site_id] = True
-                except QueryError:
-                    pass
-        return np.asarray(site_ids, dtype=np.int64)
 
     def features_for_sites(self, site_ids) -> np.ndarray:
         """Stacked feature array for the given site ids."""
@@ -285,11 +215,10 @@ class TupleBatch:
         columns: qualified column name (``alias.column``) -> value array.
         alias_relations: alias -> underlying base relation name.
         alias_row_ids: alias -> int64 array of base row ids (one per tuple).
-        conditions: per-tuple existence condition trees (tree debug mode),
-            or ``None``.  In compiled debug mode this property materializes
-            trees from ``cond_nodes`` on first access.
-        cond_nodes: per-tuple condition node ids into ``pool`` (compiled
-            debug mode), or ``None``.
+        cond_nodes: per-tuple condition node ids into ``pool`` (debug
+            mode), or ``None``.
+        conditions: the condition trees materialized from ``cond_nodes``
+            on first access, or ``None`` outside debug mode.
     """
 
     def __init__(
@@ -297,7 +226,6 @@ class TupleBatch:
         columns: Mapping[str, np.ndarray],
         alias_relations: Mapping[str, str],
         alias_row_ids: Mapping[str, np.ndarray],
-        conditions: list[BoolExpr] | None = None,
         cond_nodes: np.ndarray | None = None,
         pool: NodePool | None = None,
     ) -> None:
@@ -312,11 +240,7 @@ class TupleBatch:
         if len(lengths) > 1:
             raise SchemaError(f"inconsistent batch column lengths: {lengths}")
         self._n_rows = lengths.pop() if lengths else 0
-        if conditions is not None and len(conditions) != self._n_rows:
-            raise SchemaError(
-                f"{len(conditions)} conditions for {self._n_rows} tuples"
-            )
-        self._conditions = conditions
+        self._conditions: list[BoolExpr] | None = None
         if cond_nodes is not None:
             cond_nodes = np.asarray(cond_nodes, dtype=np.int64)
             if cond_nodes.shape[0] != self._n_rows:
@@ -371,24 +295,13 @@ class TupleBatch:
         alias_row_ids = {
             alias: ids[indices] for alias, ids in self.alias_row_ids.items()
         }
-        conditions = None
-        cond_nodes = None
-        if self.cond_nodes is not None:
-            cond_nodes = self.cond_nodes[indices]
-        elif self._conditions is not None:
-            conditions = [self._conditions[int(i)] for i in indices]
+        cond_nodes = None if self.cond_nodes is None else self.cond_nodes[indices]
         return TupleBatch(
             columns,
             self.alias_relations,
             alias_row_ids,
-            conditions,
             cond_nodes=cond_nodes,
             pool=self.pool,
-        )
-
-    def with_conditions(self, conditions: list[BoolExpr]) -> "TupleBatch":
-        return TupleBatch(
-            self.columns, self.alias_relations, self.alias_row_ids, conditions
         )
 
     def with_cond_nodes(self, cond_nodes: np.ndarray) -> "TupleBatch":
@@ -396,40 +309,33 @@ class TupleBatch:
             self.columns,
             self.alias_relations,
             self.alias_row_ids,
-            None,
             cond_nodes=cond_nodes,
             pool=self.pool,
         )
 
     def condition(self, index: int) -> BoolExpr:
-        if self.cond_nodes is not None:
-            return self.pool.to_expr(int(self.cond_nodes[index]))
-        if self._conditions is None:
+        if self.cond_nodes is None:
             return TRUE
-        return self._conditions[index]
+        return self.pool.to_expr(int(self.cond_nodes[index]))
 
     @classmethod
     def from_relation(
         cls,
         relation,
         alias: str,
-        debug: bool = False,
         pool: NodePool | None = None,
     ) -> "TupleBatch":
+        """A scan of ``relation``; with a debug ``pool`` every tuple is TRUE."""
         columns = {
             f"{alias}.{name}": values for name, values in relation.columns.items()
         }
-        conditions: list[BoolExpr] | None = None
-        cond_nodes: np.ndarray | None = None
-        if debug and pool is not None:
-            cond_nodes = np.full(len(relation), TRUE_NODE, dtype=np.int64)
-        elif debug:
-            conditions = [TRUE] * len(relation)
+        cond_nodes = (
+            None if pool is None else np.full(len(relation), TRUE_NODE, dtype=np.int64)
+        )
         return cls(
             columns,
             {alias: relation.name},
             {alias: relation.row_ids},
-            conditions,
             cond_nodes=cond_nodes,
             pool=pool,
         )
@@ -454,8 +360,6 @@ class TupleBatch:
         right_index: np.ndarray,
     ) -> "TupleBatch":
         """Combine selected (left, right) tuple pairs into one batch."""
-        from .provenance import and_  # local import to avoid cycle at module load
-
         columns: dict[str, np.ndarray] = {}
         for name, values in left.columns.items():
             columns[name] = values[left_index]
@@ -467,23 +371,16 @@ class TupleBatch:
             alias_row_ids[alias] = ids[left_index]
         for alias, ids in right.alias_row_ids.items():
             alias_row_ids[alias] = ids[right_index]
-        conditions = None
         cond_nodes = None
         pool = left.pool or right.pool
         if left.cond_nodes is not None and right.cond_nodes is not None:
             cond_nodes = pool.and2(
                 left.cond_nodes[left_index], right.cond_nodes[right_index]
             )
-        elif left._conditions is not None and right._conditions is not None:
-            conditions = [
-                and_(left._conditions[int(li)], right._conditions[int(ri)])
-                for li, ri in zip(left_index, right_index)
-            ]
         return cls(
             columns,
             alias_relations,
             alias_row_ids,
-            conditions,
             cond_nodes=cond_nodes,
             pool=pool,
         )

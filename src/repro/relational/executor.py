@@ -9,29 +9,21 @@ that are *currently* filtered out by a model predicate are retained
 symbolically — fixing the training data could flip their predictions, so
 both TwoStep's ILP and Holistic's relaxation must see them.
 
-Two debug representations are supported:
+Conditions and polynomials are emitted directly as node ids into the
+runtime's shared :class:`~repro.relational.compile.NodePool`; selects,
+projections, aggregations, and the hash-join probe are columnar batch
+operations.  Consumers that want trees still get them — ``QueryResult``
+and ``GroupInfo`` materialize expression trees from the pool lazily.  A
+row-at-a-time tree builder is kept outside the library as the test
+oracle these arrays are pinned to.
 
-- ``provenance="compiled"`` (default): conditions and polynomials are
-  emitted directly as node ids into the runtime's shared
-  :class:`~repro.relational.compile.NodePool`; selects, projections,
-  aggregations, and the hash-join probe are columnar batch operations and
-  the concrete output is recovered by one vectorized evaluation of all
-  conditions/cells (:class:`~repro.relational.compile.CompiledProvenance`).
-  Consumers that want trees still get them — ``QueryResult`` and
-  ``GroupInfo`` materialize expression trees from the pool lazily.
-- ``provenance="tree"``: the original interpreted path — per-tuple
-  :class:`~repro.relational.provenance.BoolExpr` objects built row by row.
-  Kept verbatim as the golden reference; the compiled path is pinned to it
-  by equivalence tests and benchmarks.
-
-The concrete query result is recovered by evaluating each condition /
-polynomial under the current prediction assignment, which guarantees the
-concrete and symbolic views never diverge.
+The concrete query result is recovered by one vectorized evaluation of
+every condition / cell polynomial under the current prediction assignment
+(:class:`~repro.relational.compile.CompiledProvenance`), which guarantees
+the concrete and symbolic views never diverge.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,7 +31,6 @@ from ..errors import ProvenanceError, QueryError
 from . import provenance as prov
 from .algebra import (
     Aggregate,
-    AggSpec,
     Filter,
     Join,
     Plan,
@@ -56,8 +47,8 @@ from .schema import Database, Relation
 class GroupInfo:
     """Debug metadata for one (possibly not-currently-existing) group.
 
-    In compiled mode ``condition``/``cell_polys`` materialize expression
-    trees lazily from ``condition_node``/``cell_nodes``.
+    With ``condition_node``/``cell_nodes`` set, ``condition``/``cell_polys``
+    materialize expression trees from the pool lazily.
     """
 
     def __init__(
@@ -104,17 +95,17 @@ class QueryResult:
         runtime: execution state (models, sites, prediction cache).
         candidate_batch: all symbolically-alive tuples (pre-aggregation
             output for SP/SPJ queries); ``None`` outside debug mode.
-        candidate_conditions: existence conditions, aligned with
-            ``candidate_batch`` (materialized lazily in compiled mode).
-        candidate_cond_nodes: compiled condition node ids, aligned with
-            ``candidate_batch``; ``None`` in tree mode.
+        candidate_conditions: existence condition trees, aligned with
+            ``candidate_batch`` (materialized lazily from the node ids).
+        candidate_cond_nodes: condition node ids, aligned with
+            ``candidate_batch``.
         output_to_candidate: for SP/SPJ queries, index of each concrete
             output row inside the candidate batch.
         groups: for aggregate queries, one :class:`GroupInfo` per candidate
             group (including groups that are currently empty).
         output_to_group: index of each concrete output row inside ``groups``.
         is_aggregate: whether the root plan node is an Aggregate.
-        pool: the compiled provenance pool, or ``None`` in tree mode.
+        pool: the provenance node pool (``None`` outside debug mode).
     """
 
     def __init__(
@@ -266,19 +257,10 @@ class Executor:
     def __init__(self, database: Database) -> None:
         self.database = database
 
-    def execute(
-        self, plan: Plan, debug: bool = False, provenance: str = "compiled"
-    ) -> QueryResult:
-        """Run ``plan``; with ``debug=True`` capture full lineage.
-
-        ``provenance`` selects the debug representation: ``"compiled"``
-        (columnar node arrays, the default) or ``"tree"`` (the interpreted
-        golden-reference path).
-        """
-        runtime = QueryRuntime(self.database, debug=debug, provenance=provenance)
+    def execute(self, plan: Plan, debug: bool = False) -> QueryResult:
+        """Run ``plan``; with ``debug=True`` capture full lineage."""
+        runtime = QueryRuntime(self.database, debug=debug)
         if isinstance(plan, Aggregate):
-            if runtime.provenance == "tree":
-                return self._execute_aggregate_reference(plan, runtime)
             return self._execute_aggregate_columnar(plan, runtime)
         batch = self._eval(plan, runtime)
         return self._finalize_spj(plan, batch, runtime)
@@ -288,20 +270,12 @@ class Executor:
     def _finalize_spj(
         self, plan: Plan, batch: TupleBatch, runtime: QueryRuntime
     ) -> QueryResult:
-        conditions = None
-        cond_nodes = None
-        if runtime.debug and batch.cond_nodes is not None:
-            cond_nodes = batch.cond_nodes
+        cond_nodes = batch.cond_nodes
+        if runtime.debug:
             label_ids = runtime.site_label_ids(runtime.pool)
             program = CompiledProvenance(runtime.pool, cond_nodes)
             alive_mask = program.evaluate_labels(label_ids) >= 0.5
             alive = np.flatnonzero(alive_mask).tolist()
-        elif runtime.debug:
-            assignment = runtime.current_assignment()
-            conditions = [batch.condition(i) for i in range(len(batch))]
-            alive = [
-                i for i, cond in enumerate(conditions) if cond.evaluate(assignment)
-            ]
         else:
             alive = list(range(len(batch)))
         concrete = batch.take(np.asarray(alive, dtype=np.int64))
@@ -314,7 +288,6 @@ class Executor:
             relation=relation,
             runtime=runtime,
             candidate_batch=batch if runtime.debug else None,
-            candidate_conditions=conditions,
             candidate_cond_nodes=cond_nodes,
             output_to_candidate=alive if runtime.debug else None,
             is_aggregate=False,
@@ -339,7 +312,7 @@ class Executor:
     def _eval_scan(self, plan: Scan, runtime: QueryRuntime) -> TupleBatch:
         relation = self.database.relation(plan.relation_name)
         return TupleBatch.from_relation(
-            relation, plan.effective_alias, debug=runtime.debug, pool=runtime.pool
+            relation, plan.effective_alias, pool=runtime.pool
         )
 
     def _eval_filter(self, plan: Filter, runtime: QueryRuntime) -> TupleBatch:
@@ -352,32 +325,26 @@ class Executor:
         if not runtime.debug:
             mask = np.asarray(predicate.eval(batch, runtime), dtype=bool)
             return batch.take(np.flatnonzero(mask))
-        if batch.cond_nodes is not None:
-            # Compiled: fold symbolically in the node pool; drop only rows
-            # whose condition is deterministically FALSE.
-            symbolic = predicate.symbolic_bool_nodes(batch, runtime)
-            combined = runtime.pool.and2(batch.cond_nodes, symbolic)
-            keep = np.flatnonzero(combined != FALSE_NODE)
-            return batch.take(keep).with_cond_nodes(combined[keep])
-        # Tree (reference): fold the predicate symbolically per row.
-        symbolic = predicate.symbolic_bool(batch, runtime)
-        combined = [
-            prov.and_(batch.condition(i), cond) for i, cond in enumerate(symbolic)
-        ]
-        keep = [i for i, cond in enumerate(combined) if not cond.is_false()]
-        filtered = batch.take(np.asarray(keep, dtype=np.int64))
-        return filtered.with_conditions([combined[i] for i in keep])
+        # Fold the predicate symbolically in the node pool; drop only rows
+        # whose condition is deterministically FALSE.
+        symbolic = predicate.symbolic_bool_nodes(batch, runtime)
+        combined = runtime.pool.and2(batch.cond_nodes, symbolic)
+        keep = np.flatnonzero(combined != FALSE_NODE)
+        return batch.take(keep).with_cond_nodes(combined[keep])
 
     def _eval_join(self, plan: Join, runtime: QueryRuntime) -> TupleBatch:
         left = self._eval(plan.left, runtime)
         right = self._eval(plan.right, runtime)
+        # Pairing goes through the batch's own class (here and in the hash
+        # joins) so a batch subclass carrying other lineage, such as the
+        # tree oracle's per-row conditions, combines it itself.
         if plan.condition is None:
-            return TupleBatch.cross_product(left, right)
+            return type(left).cross_product(left, right)
         equi, residual = _split_join_condition(plan.condition, left, right)
         if equi:
             joined = _hash_join(left, right, equi)
         else:
-            joined = TupleBatch.cross_product(left, right)
+            joined = type(left).cross_product(left, right)
         if residual is not None:
             joined = self._apply_predicate(joined, residual, runtime)
         return joined
@@ -391,7 +358,6 @@ class Executor:
             columns,
             batch.alias_relations,
             batch.alias_row_ids,
-            batch.conditions if batch.cond_nodes is None else None,
             cond_nodes=batch.cond_nodes,
             pool=batch.pool,
         )
@@ -448,7 +414,7 @@ class Executor:
             pool=runtime.pool,
         )
 
-    # -- aggregation: columnar (compiled debug + concrete) ----------------------
+    # -- aggregation: columnar (debug + concrete) -------------------------------
 
     def _execute_aggregate_columnar(
         self, plan: Aggregate, runtime: QueryRuntime
@@ -704,134 +670,6 @@ class Executor:
             list(range(n_groups)),
         )
 
-    # -- aggregation: interpreted reference ------------------------------------
-
-    def _execute_aggregate_reference(
-        self, plan: Aggregate, runtime: QueryRuntime
-    ) -> QueryResult:
-        batch = self._eval(plan.child, runtime)
-        n_rows = len(batch)
-        det_keys, model_keys = self._aggregate_keys(plan, batch, runtime)
-
-        # Row membership: (deterministic key tuple, per-class condition).
-        if runtime.debug:
-            row_conditions = [batch.condition(i) for i in range(n_rows)]
-        else:
-            row_conditions = [prov.TRUE] * n_rows
-
-        if model_keys:
-            key_name, predict_expr = model_keys[0]
-            classes = runtime.model_classes(predict_expr.model_name)
-            site_ids = predict_expr.site_ids(batch, runtime)
-        else:
-            classes = None
-            site_ids = None
-
-        # Candidate groups: det-key combos present in the batch x classes.
-        membership: dict[tuple, list[tuple[int, prov.BoolExpr]]] = {}
-        for i in range(n_rows):
-            det_part = tuple(
-                values[i].item() if hasattr(values[i], "item") else values[i]
-                for _, values in det_keys
-            )
-            if classes is None:
-                key = det_part
-                cond = row_conditions[i]
-                membership.setdefault(key, []).append((i, cond))
-            else:
-                for label in classes:
-                    key = det_part + (label,)
-                    cond = prov.and_(
-                        row_conditions[i], prov.PredIs(site_ids[i], label)
-                    )
-                    if cond.is_false():
-                        continue
-                    membership.setdefault(key, []).append((i, cond))
-
-        # Global aggregate: exactly one group even with zero rows.
-        if not plan.group_by and not membership:
-            membership[()] = []
-
-        agg_values = self._aggregate_arguments(plan.aggregates, batch, runtime)
-
-        group_order = sorted(membership.keys(), key=_key_sort_token)
-        group_infos: list[GroupInfo] = []
-        for key in group_order:
-            members = membership[key]
-            condition = prov.or_(*[cond for _, cond in members]) if members else prov.FALSE
-            if not plan.group_by:
-                condition = prov.TRUE  # a global aggregate row always exists
-            info = GroupInfo(key=key, condition=condition)
-            for position, spec in enumerate(plan.aggregates):
-                info.cell_polys[spec.name] = _aggregate_polynomial(
-                    spec, position, members, agg_values
-                )
-            group_infos.append(info)
-
-        # The prediction cache is populated in both modes (site_ids/symbolic_num
-        # run model inference), so the assignment is always available.
-        assignment = runtime.current_assignment()
-        # Concrete output: groups that currently exist.
-        out_rows: list[int] = []
-        for index, info in enumerate(group_infos):
-            if not plan.group_by or info.condition.evaluate(assignment):
-                out_rows.append(index)
-
-        key_names = [name for name, _ in det_keys] + (
-            [model_keys[0][0]] if model_keys else []
-        )
-        out_cells: dict[str, list] = {spec.name: [] for spec in plan.aggregates}
-        out_keys: list[tuple] = []
-        for index in out_rows:
-            info = group_infos[index]
-            out_keys.append(info.key)
-            for spec in plan.aggregates:
-                out_cells[spec.name].append(
-                    info.cell_polys[spec.name].evaluate(assignment)
-                )
-        result = self._build_output(
-            plan, key_names, out_keys, out_cells, runtime, group_infos, out_rows
-        )
-        return result
-
-    def _aggregate_arguments(
-        self,
-        aggregates: Sequence[AggSpec],
-        batch: TupleBatch,
-        runtime: QueryRuntime,
-    ) -> dict[int, list[prov.NumExpr]]:
-        """Per-aggregate numeric provenance of each input row."""
-        out: dict[int, list[prov.NumExpr]] = {}
-        for position, spec in enumerate(aggregates):
-            if spec.arg is None:
-                continue
-            out[position] = spec.arg.symbolic_num(batch, runtime)
-        return out
-
-
-def _aggregate_polynomial(
-    spec: AggSpec,
-    position: int,
-    members: list[tuple[int, prov.BoolExpr]],
-    agg_values: dict[int, list[prov.NumExpr]],
-) -> prov.NumExpr:
-    """Provenance polynomial of one aggregate cell."""
-    if spec.func == "count":
-        return prov.LinearSum([(1.0, cond) for _, cond in members])
-    values = agg_values[position]
-    terms: list[prov.NumExpr] = []
-    for row_index, cond in members:
-        value = values[row_index]
-        if cond.is_true():
-            terms.append(value)
-        else:
-            terms.append(prov.mul_(prov.BoolAsNum(cond), value))
-    total = prov.add_(*terms) if terms else prov.ConstNum(0.0)
-    if spec.func == "sum":
-        return total
-    count = prov.LinearSum([(1.0, cond) for _, cond in members])
-    return prov.DivExpr(total, count)
-
 
 def _key_token_value(value):
     return value.item() if hasattr(value, "item") else value
@@ -983,7 +821,7 @@ def _hash_join(
     base = np.repeat(np.cumsum(counts) - counts, counts)
     position = np.arange(total, dtype=np.int64) - base
     right_index = right_order[np.repeat(starts, counts) + position]
-    return TupleBatch.paired(left, right, left_index, right_index)
+    return type(left).paired(left, right, left_index, right_index)
 
 
 def _unsafe_key_promotion(left_dtype: np.dtype, right_dtype: np.dtype) -> bool:
@@ -1028,7 +866,7 @@ def _hash_join_reference(
         for j in table.get(key, ()):
             left_index.append(i)
             right_index.append(j)
-    return TupleBatch.paired(
+    return type(left).paired(
         left,
         right,
         np.asarray(left_index, dtype=np.int64),
@@ -1057,37 +895,27 @@ class ExecutionCache:
     :class:`~repro.relational.compile.CompiledProvenance` program over its
     own complaint roots.
 
-    Only the compiled representation is cacheable; ``provenance="tree"``
-    is the golden reference path and always re-executes per case.
-
     The cache is scoped to one iteration (model parameters change every
     iteration), so the driver constructs a fresh one per loop step.
     ``misses`` counts executions and ``hits`` the executions saved; both
     land in the iteration diagnostics via :meth:`stats`.
     """
 
-    def __init__(self, executor: Executor, provenance: str = "compiled") -> None:
+    def __init__(self, executor: Executor) -> None:
         self.executor = executor
-        self.provenance = provenance
-        self.cacheable = provenance == "compiled"
         self._results: dict[str, QueryResult] = {}
         self.hits = 0
         self.misses = 0
 
     def fetch(self, plan: Plan, fingerprint: str | None = None) -> QueryResult:
         """The debug-mode result for ``plan``, executed at most once."""
-        if not self.cacheable:
-            self.misses += 1
-            return self.executor.execute(
-                plan, debug=True, provenance=self.provenance
-            )
         key = fingerprint if fingerprint is not None else plan_fingerprint(plan)
         cached = self._results.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        result = self.executor.execute(plan, debug=True, provenance=self.provenance)
+        result = self.executor.execute(plan, debug=True)
         self._results[key] = result
         return result
 

@@ -36,12 +36,12 @@ Two evaluation paths
 The object trees in this module are the *interpreted* path: one Python
 object per operator, evaluated by recursion.  They remain the readable,
 golden-reference semantics — randomized equivalence tests pin the compiled
-path to them.  The *compiled* path (:mod:`repro.relational.compile`) lowers
-the same polynomials into flat index arrays (opcode / CSR-children /
+path to them.  The *compiled* path (:mod:`repro.relational.compile`) holds
+the same polynomials as flat index arrays (opcode / CSR-children /
 coefficient / atom-site columns) and evaluates **all** of a query's
 conditions and aggregate cells in one batched numpy sweep; the debug-mode
-executor emits provenance directly in that form and materializes trees
-from it lazily when a consumer asks for one.
+executor emits provenance only in that form and materializes trees from
+it lazily when a consumer asks for one.
 
 Worked example: the count query ``SELECT COUNT(*) FROM R WHERE
 predict(x) = 'match'`` over rows {0, 1, 2} yields, per row, the existence

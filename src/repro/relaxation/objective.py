@@ -12,21 +12,16 @@ model's class probabilities at the query's inference sites.  Inequality
 value complaints are treated as equalities only while violated, matching
 the paper's train-rank-fix handling.
 
-Two engines compute ``q`` and ``∂q/∂P``:
-
-- ``"compiled"`` (default): every complaint's polynomial is a root of one
-  :class:`~repro.relational.compile.CompiledProvenance` program — on a
-  compiled query result the executor's node ids are used directly, on a
-  tree result the polynomials are lowered first.  One vectorized forward
-  pass produces all relaxed values; the residual-weighted seed is pushed
-  through one reverse sweep, so the whole complaint set costs two batched
-  array passes regardless of how many complaints there are.
-- ``"interpreted"``: the original per-complaint
-  :class:`~repro.relaxation.relax.Relaxer` reverse sweeps over expression
-  trees — the golden reference the compiled engine is tested against.
+Every complaint's polynomial is a root of one
+:class:`~repro.relational.compile.CompiledProvenance` program over the
+executor's node ids.  One vectorized forward pass produces all relaxed
+values; the residual-weighted seed is pushed through one reverse sweep, so
+the whole complaint set costs two batched array passes regardless of how
+many complaints there are.  A per-complaint tree-walking objective is kept
+outside the library as the test oracle this sweep is pinned to.
 
 ``∇_θ q`` is then ``prob_vjp(X_sites, ∂q/∂P)`` — one weighted backward
-pass in the model, shared by both engines.
+pass in the model.
 """
 
 from __future__ import annotations
@@ -39,34 +34,22 @@ from ..complaints.complaint import (
     PredictionComplaint,
     TupleComplaint,
     ValueComplaint,
+    _complaint_node,
 )
-from ..errors import ComplaintError, RelaxationError
-from ..relational.compile import FALSE_NODE, CompiledProvenance, NodePool
+from ..errors import RelaxationError
+from ..relational.compile import FALSE_NODE, CompiledProvenance
 from ..relational.executor import QueryResult
-from .relax import Relaxer
 
 
 class RelaxedComplaintObjective:
     """The differentiable q(θ) for one query's complaint set."""
 
-    def __init__(
-        self, result: QueryResult, complaints: Sequence, engine: str = "auto"
-    ) -> None:
+    def __init__(self, result: QueryResult, complaints: Sequence) -> None:
         if not result.debug:
             raise RelaxationError("Holistic needs a debug-mode query result")
-        if engine not in ("auto", "compiled", "interpreted"):
-            raise RelaxationError(
-                f"engine must be 'auto', 'compiled', or 'interpreted', got {engine!r}"
-            )
         self.result = result
         self.complaints = list(complaints)
         self.runtime = result.runtime
-        if engine == "auto":
-            # Compiled results use the batched engine; tree results stay on
-            # the interpreted reference so provenance="tree" is end-to-end
-            # golden.
-            engine = "compiled" if result.compiled else "interpreted"
-        self.engine = engine
 
         site_ids = list(range(len(self.runtime.sites)))
         if not site_ids:
@@ -82,12 +65,13 @@ class RelaxedComplaintObjective:
         self.model = self.runtime.model(self.model_name)
         self.site_ids = site_ids
         self.X_sites = self.runtime.features_for_sites(site_ids)
-        self.relaxer = Relaxer.for_model(self.model)
+        # class label -> column of the probability matrix P.
+        self.class_columns = {
+            label: index for index, label in enumerate(self.model.classes)
+        }
         self._site_arr = np.asarray(site_ids, dtype=np.int64)
         self._max_site = int(self._site_arr.max()) + 1
-
-        if self.engine == "compiled":
-            self._build_compiled_program()
+        self._build_compiled_program()
 
     # -- compiled program over all complaint polynomials ---------------------------
 
@@ -104,14 +88,11 @@ class RelaxedComplaintObjective:
         roots: list[int] = []
         self._root_targets: list[float] = []
         self._pred_terms: list[tuple[int, int]] = []  # (site_id, column)
-        pool = result.pool
-        if pool is None:
-            pool = NodePool()
         for complaint in self.complaints:
             if isinstance(complaint, PredictionComplaint):
                 site_id = complaint.site_id(result)
                 try:
-                    column = self.relaxer.class_columns[complaint.label]
+                    column = self.class_columns[complaint.label]
                 except KeyError:
                     raise RelaxationError(
                         f"atom class {complaint.label!r} is not a model class"
@@ -122,25 +103,24 @@ class RelaxedComplaintObjective:
                 if complaint.op in ("<=", ">=") and complaint.is_satisfied(result):
                     # Satisfied inequalities contribute nothing; keep their
                     # polynomials out of the program entirely so they are
-                    # never relaxed (the interpreted path short-circuits
-                    # before relaxing too — e.g. an AVG over a group whose
-                    # relaxed count is zero must not raise here).
+                    # never relaxed (e.g. an AVG over a group whose relaxed
+                    # count is zero must not raise here).
                     continue
-                node = _value_complaint_node(result, complaint, pool)
-                roots.append(node)
+                roots.append(_complaint_node(complaint, result))
                 self._root_targets.append(float(complaint.value))
                 continue
             if isinstance(complaint, TupleComplaint):
-                node = _tuple_complaint_node(result, complaint, pool)
-                roots.append(node)
+                node = _complaint_node(complaint, result)
+                # Not even a candidate: deterministically filtered, so the
+                # complaint is vacuously satisfied.
+                roots.append(FALSE_NODE if node is None else node)
                 self._root_targets.append(0.0)
                 continue
             raise RelaxationError(
                 f"unknown complaint type {type(complaint).__name__}"
             )
-        self._pool = pool
         self._program = (
-            CompiledProvenance(pool, np.asarray(roots, dtype=np.int64))
+            CompiledProvenance(result.pool, np.asarray(roots, dtype=np.int64))
             if roots
             else None
         )
@@ -164,18 +144,11 @@ class RelaxedComplaintObjective:
 
     def q_value_and_pgrad(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
         """``q`` and ``∂q/∂P`` (both in row-indexed site order)."""
-        if self.engine == "compiled":
-            return self._q_compiled(P_rows)
-        return self._q_interpreted(P_rows)
-
-    def _q_compiled(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
         P = self._expand(P_rows)
         total = 0.0
         grad = np.zeros_like(P)
         if self._program is not None:
-            values, cache = self._program.relaxed_forward(
-                P, self.relaxer.class_columns
-            )
+            values, cache = self._program.relaxed_forward(P, self.class_columns)
             residuals = values - np.asarray(self._root_targets)
             total += float(np.sum(residuals**2))
             grad += self._program.relaxed_backward(cache, 2.0 * residuals)
@@ -184,37 +157,6 @@ class RelaxedComplaintObjective:
             total += residual**2
             grad[site_id, column] += 2.0 * residual
         return total, self._collapse(grad)
-
-    def _q_interpreted(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
-        P = self._expand(P_rows)
-        total = 0.0
-        grad = np.zeros_like(P)
-        for complaint in self.complaints:
-            value, cgrad = self._complaint_term(complaint, P)
-            total += value
-            grad += cgrad
-        return total, self._collapse(grad)
-
-    def _complaint_term(self, complaint, P: np.ndarray) -> tuple[float, np.ndarray]:
-        if isinstance(complaint, ValueComplaint):
-            poly = complaint.polynomial(self.result)
-            if complaint.op in ("<=", ">=") and complaint.is_satisfied(self.result):
-                return 0.0, np.zeros_like(P)
-            relaxed, pgrad = self.relaxer.value_and_grad(poly, P)
-            residual = relaxed - complaint.value
-            return residual**2, 2.0 * residual * pgrad
-        if isinstance(complaint, TupleComplaint):
-            condition = complaint.condition(self.result)
-            relaxed, pgrad = self.relaxer.value_and_grad(condition, P)
-            return relaxed**2, 2.0 * relaxed * pgrad
-        if isinstance(complaint, PredictionComplaint):
-            site_id = complaint.site_id(self.result)
-            column = self.relaxer.class_columns[complaint.label]
-            residual = float(P[site_id, column]) - 1.0
-            pgrad = np.zeros_like(P)
-            pgrad[site_id, column] = 2.0 * residual
-            return residual**2, pgrad
-        raise RelaxationError(f"unknown complaint type {type(complaint).__name__}")
 
     def q_value(self) -> float:
         q, _ = self.q_value_and_pgrad(self.probabilities())
@@ -241,17 +183,15 @@ class RelaxedComplaintObjective:
         return q, self.model.prob_vjp(self.X_sites, pgrad_rows)
 
 
-def batched_case_objectives(
-    case_results: Sequence, engine: str = "auto"
-) -> list[RelaxedComplaintObjective]:
+def batched_case_objectives(case_results: Sequence) -> list[RelaxedComplaintObjective]:
     """One :class:`RelaxedComplaintObjective` per ``(case, result)`` pair.
 
-    On compiled results the complaint roots are *looked up* in the shared
-    pool, never appended, so cases sharing a query result build their
-    programs over one node-array snapshot.
+    The complaint roots are *looked up* in the shared pool, never
+    appended, so cases sharing a query result build their programs over
+    one node-array snapshot.
     """
     return [
-        RelaxedComplaintObjective(result, case.complaints, engine=engine)
+        RelaxedComplaintObjective(result, case.complaints)
         for case, result in case_results
     ]
 
@@ -281,52 +221,3 @@ def batched_q_and_grads(
     return q_values, q_grads
 
 
-def _value_complaint_node(
-    result: QueryResult, complaint: ValueComplaint, pool: NodePool
-) -> int:
-    """Compiled node of a value complaint's cell polynomial."""
-    if result.compiled:
-        if complaint.group_key is not None:
-            group = result.group_by_key(complaint.group_key)
-            try:
-                return group.cell_nodes[complaint.column]
-            except KeyError:
-                raise RelaxationError(
-                    f"column {complaint.column!r} is not an aggregate output"
-                ) from None
-        return result.cell_node(complaint.row_index, complaint.column)
-    return pool.add_expr(complaint.polynomial(result))
-
-
-def _tuple_complaint_node(
-    result: QueryResult, complaint: TupleComplaint, pool: NodePool
-) -> int:
-    """Compiled node of a tuple complaint's existence condition."""
-    if not result.compiled:
-        return pool.add_expr(complaint.condition(result))
-    if complaint.group_key is not None:
-        node = result.group_by_key(complaint.group_key).condition_node
-        if node is None:
-            raise RelaxationError("group condition nodes need compiled mode")
-        return node
-    if complaint.lineage is not None:
-        batch = result.candidate_batch
-        if batch is None:
-            raise ComplaintError("lineage complaints need a debug-mode result")
-        wanted = dict(complaint.lineage)
-        unknown = set(wanted) - set(batch.alias_row_ids)
-        if unknown:
-            raise ComplaintError(
-                f"lineage aliases {sorted(unknown)} not in the query "
-                f"(available: {sorted(batch.alias_row_ids)})"
-            )
-        mask = np.ones(len(batch), dtype=bool)
-        for alias, row_id in wanted.items():
-            mask &= batch.alias_row_ids[alias] == int(row_id)
-        matches = np.flatnonzero(mask)
-        if matches.size == 0:
-            # Not even a candidate: deterministically filtered, so the
-            # complaint is vacuously satisfied.
-            return FALSE_NODE
-        return int(batch.cond_nodes[matches[0]])
-    return result.tuple_condition_node(complaint.row_index)

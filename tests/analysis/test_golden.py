@@ -172,4 +172,8 @@ class TestShippedManifest:
         labels = {entry.label for entry in load_manifest(DEFAULT_MANIFEST)}
         assert "repro.ilp.encode:TiresiasEncoder" in labels
         assert "tests.oracles.lp_linprog:_lp_relaxation" in labels
+        assert (
+            "tests.oracles.relaxed_objective:InterpretedObjective._q_interpreted"
+            in labels
+        )
         assert "repro.core.rain:RainDebugger._run_serial" in labels

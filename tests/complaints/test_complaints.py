@@ -12,15 +12,7 @@ from repro.complaints import (
 )
 from repro.errors import ComplaintError
 from repro.relational import Executor, plan_sql
-
-
-def all_satisfied(case_results) -> bool:
-    """The tree-walk oracle: every complaint's own ``is_satisfied``."""
-    return all(
-        complaint.is_satisfied(result)
-        for case, result in case_results
-        for complaint in case.complaints
-    )
+from tests.oracles.tree_provenance import all_satisfied_tree as all_satisfied
 
 
 @pytest.fixture()
@@ -226,18 +218,6 @@ class TestColumnarSatisfied:
         )
         assert self._agree([(good, count_result)]) is True
         assert self._agree([(bad, count_result)]) is False
-
-    def test_tree_results_fall_back(self, simple_db):
-        plan = plan_sql("SELECT COUNT(*) FROM R WHERE predict(*) = 1", simple_db)
-        result = Executor(simple_db).execute(
-            plan, debug=True, provenance="tree"
-        )
-        current = result.scalar("count")
-        case = ComplaintCase(
-            "q",
-            [ValueComplaint(column="count", op="=", value=current, row_index=0)],
-        )
-        assert self._agree([(case, result)]) is True
 
     def test_mixed_cases_over_multiple_results(self, count_result, group_result):
         current = count_result.scalar("count")

@@ -72,6 +72,21 @@ class TestRelabelDebugger:
         assert relabel.auccr(corrupted) > 0.4
         assert abs(relabel.auccr(corrupted) - delete.auccr(corrupted)) < 0.5
 
+    def test_cases_over_one_plan_execute_once(self, relabel_setting):
+        db, X, y, y_clean, corrupted, case = relabel_setting
+        lower_bound = ComplaintCase(
+            case.query,
+            [ValueComplaint(column="count", op=">=", value=1, row_index=0)],
+        )
+        report = RelabelDebugger(
+            db, "m", X, y, [case, lower_bound], method="holistic", rng=0
+        ).run(max_removals=10, k_per_iteration=5)
+        assert len(report.iterations) == 2
+        for record in report.iterations:
+            cache = record.diagnostics["execute_cache"]
+            assert cache["n_cases"] == 2 and cache["n_distinct_plans"] == 1
+            assert (cache["hits"], cache["misses"]) == (1, 1)
+
     def test_budget_validation(self, relabel_setting):
         db, X, y, y_clean, corrupted, case = relabel_setting
         debugger = RelabelDebugger(db, "m", X, y, [case], method="holistic")

@@ -16,6 +16,7 @@ from repro.experiments.common import build_dblp_setting
 from repro.experiments.serving import build_serving_setting
 from repro.ml import LogisticRegression
 from repro.relational import Database, Relation
+from tests.oracles.tree_provenance import tree_reference
 
 
 @pytest.fixture()
@@ -298,19 +299,18 @@ class TestExecuteDedup:
     def serving_setting(self):
         return build_serving_setting(0.5, n_train=120, n_query=300, seed=0)
 
-    def _run(self, setting, provenance):
+    def _run(self, setting):
         initial = setting.model.get_params()
         try:
             return RainDebugger(
                 setting.database, "income", setting.X_train,
                 setting.y_corrupted, setting.cases, method="holistic", rng=0,
-                provenance=provenance,
             ).run(max_removals=20, k_per_iteration=10)
         finally:
             setting.model.set_params(initial)
 
     def test_serving_setting_executes_each_plan_once(self, serving_setting):
-        report = self._run(serving_setting, "compiled")
+        report = self._run(serving_setting)
         assert len(serving_setting.cases) == 12
         assert _cache_counters(report) == [(10, 2)] * len(report.iterations)
         cache = report.iterations[0].diagnostics["execute_cache"]
@@ -318,8 +318,9 @@ class TestExecuteDedup:
         assert cache["n_distinct_plans"] == 2
 
     def test_tree_provenance_never_dedups(self, serving_setting):
-        deduped = self._run(serving_setting, "compiled")
-        tree = self._run(serving_setting, "tree")
+        deduped = self._run(serving_setting)
+        with tree_reference():
+            tree = self._run(serving_setting)
         assert _cache_counters(tree) == [(0, 12)] * len(tree.iterations)
         assert tree.removal_order == deduped.removal_order
 

@@ -4,18 +4,24 @@ Every ranker runs on a small DBLP setting (one COUNT complaint) and the
 fig8 Adult setting (two AVG complaint cases over two plans), 20 removals
 in steps of 10.  Plan dedup and the columnar complaint drain are pure
 functions of (plan, data, θ), so they must leave these orders exactly as
-the per-case, tree-walking loop produced them.  ``provenance="tree"``
-runs the golden reference path (no dedup, tree-walked provenance) and
-must land on the same orders — and on the same per-iteration records
-and final fitted parameters, since both provenance modes replay one
-initial state.
+the per-case, tree-walking loop produced them.  The ``"tree"`` path
+replays the loop on the tree oracle
+(:func:`tests.oracles.tree_provenance.tree_reference`: no dedup,
+tree-walked provenance) and must land on the same orders — and on the
+same per-iteration records and final fitted parameters, since both paths
+replay one initial state.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
 from repro.experiments.common import build_dblp_setting, run_method
 from repro.experiments.fig8_multiquery import build_adult_setting
+from tests.oracles.tree_provenance import tree_reference
+
+PATHS = {"compiled": contextlib.nullcontext, "tree": tree_reference}
 
 PINNED_ORDERS = {
     "dblp/loss": [148, 18, 64, 129, 80, 145, 74, 136, 115, 122,
@@ -65,34 +71,34 @@ def adult():
 
 @pytest.fixture(scope="module")
 def runs(request):
-    """Memoised ``(report, final params)`` per (key, provenance)."""
+    """Memoised ``(report, final params)`` per (key, path)."""
     memo = {}
 
-    def run(key, provenance):
-        if (key, provenance) not in memo:
+    def run(key, path):
+        if (key, path) not in memo:
             dataset, label = key.split("/")
             setting, model_name, cases = request.getfixturevalue(dataset)
             initial = setting.model.get_params()
             try:
-                report = run_method(
-                    setting.database, model_name, setting.X_train,
-                    setting.y_corrupted, cases, label.split("-")[0],
-                    max_removals=20, k_per_iteration=10, seed=0,
-                    ranker_kwargs=RANKER_KWARGS[label], reset_params=initial,
-                    provenance=provenance,
-                )
-                memo[key, provenance] = (report, setting.model.get_params())
+                with PATHS[path]():
+                    report = run_method(
+                        setting.database, model_name, setting.X_train,
+                        setting.y_corrupted, cases, label.split("-")[0],
+                        max_removals=20, k_per_iteration=10, seed=0,
+                        ranker_kwargs=RANKER_KWARGS[label], reset_params=initial,
+                    )
+                memo[key, path] = (report, setting.model.get_params())
             finally:
                 setting.model.set_params(initial)
-        return memo[key, provenance]
+        return memo[key, path]
 
     return run
 
 
-@pytest.mark.parametrize("provenance", ["compiled", "tree"])
+@pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("key", sorted(PINNED_ORDERS))
-def test_pinned_removal_order(runs, key, provenance):
-    report, _ = runs(key, provenance)
+def test_pinned_removal_order(runs, key, path):
+    report, _ = runs(key, path)
     assert report.stopped_reason == "budget"
     assert report.removal_order == PINNED_ORDERS[key]
 

@@ -45,6 +45,7 @@ from repro.relational import (
     Relation,
     Scan,
 )
+from tests.oracles.tree_provenance import TreeExecutor
 
 SEEDS = list(range(8))
 # Per-solve branch & bound node budget for the parity checks.  Seeds 0-2,
@@ -208,7 +209,7 @@ def program_signature(program):
 def build_encoders(join_db, seed):
     rng = np.random.default_rng(seed)
     plan, shape = random_plan(rng)
-    result = Executor(join_db).execute(plan, debug=True, provenance="compiled")
+    result = Executor(join_db).execute(plan, debug=True)
     complaints = complaints_for(rng, result, shape)
     if not complaints:
         pytest.skip("sampled plan produced an empty relation")
@@ -262,9 +263,7 @@ class TestCrossComplaintDedup:
         rng = np.random.default_rng(5)
         plan, _ = random_plan(rng)
         while True:
-            result = Executor(join_db).execute(
-                plan, debug=True, provenance="compiled"
-            )
+            result = Executor(join_db).execute(plan, debug=True)
             if result.groups is not None and len(result.relation) >= 1:
                 break
             plan, _ = random_plan(rng)
@@ -287,9 +286,7 @@ class TestCrossComplaintDedup:
         rng = np.random.default_rng(5)
         plan, _ = random_plan(rng)
         while True:
-            result = Executor(join_db).execute(
-                plan, debug=True, provenance="compiled"
-            )
+            result = Executor(join_db).execute(plan, debug=True)
             if result.groups is not None and len(result.relation) >= 1:
                 break
             plan, _ = random_plan(rng)
@@ -317,7 +314,7 @@ class TestTwoStepRemovalOrders:
             plan, shape = random_plan(rng)
             if shape != "selection":
                 break
-        result = Executor(join_db).execute(plan, debug=True, provenance="compiled")
+        result = Executor(join_db).execute(plan, debug=True)
         complaints = complaints_for(rng, result, shape)
         if not complaints:
             pytest.skip("sampled plan produced an empty relation")
@@ -348,7 +345,6 @@ class TestTwoStepRemovalOrders:
                         "node_limit": PARITY_NODE_LIMIT,
                         "time_limit": None,
                     },
-                    provenance="compiled",
                 )
                 report = debugger.run(max_removals=6, k_per_iteration=2)
                 return list(report.removal_order)
@@ -364,8 +360,8 @@ class TestMakeEncoder:
         rng = np.random.default_rng(1)
         plan, _ = random_plan(rng)
         executor = Executor(join_db)
-        compiled_result = executor.execute(plan, debug=True, provenance="compiled")
-        tree_result = executor.execute(plan, debug=True, provenance="tree")
+        compiled_result = executor.execute(plan, debug=True)
+        tree_result = TreeExecutor(executor.database).execute(plan)
         assert isinstance(make_encoder(compiled_result), CompiledILPEncoder)
         # Tree-mode results have no pool: always the tree walk.
         encoder = make_encoder(tree_result)
@@ -400,7 +396,7 @@ class TestAuxCacheKeying:
     def test_pool_materialized_exprs_key_by_node_id(self, join_db):
         rng = np.random.default_rng(2)
         plan, shape = random_plan(rng)
-        result = Executor(join_db).execute(plan, debug=True, provenance="compiled")
+        result = Executor(join_db).execute(plan, debug=True)
         if len(result.relation) == 0:
             pytest.skip("sampled plan produced an empty relation")
         encoder = TiresiasEncoder(result)

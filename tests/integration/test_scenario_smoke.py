@@ -17,6 +17,7 @@ from repro.experiments import compare_methods
 from repro.experiments.common import run_method
 from repro.experiments.fig8_multiquery import build_adult_setting
 from repro.experiments.table3_auccr import build_enron_setting
+from tests.oracles.tree_provenance import tree_reference
 
 PIN_ATOL = 1e-3
 
@@ -96,11 +97,12 @@ class TestAdultScenario:
         )["holistic"]
         initial = setting.model.get_params()
         try:
-            tree = run_method(
-                setting.database, "income", setting.X_train,
-                setting.y_corrupted, cases, "holistic", max_removals=30,
-                seed=0, reset_params=initial, provenance="tree",
-            )
+            with tree_reference():
+                tree = run_method(
+                    setting.database, "income", setting.X_train,
+                    setting.y_corrupted, cases, "holistic", max_removals=30,
+                    seed=0, reset_params=initial,
+                )
         finally:
             setting.model.set_params(initial)
         curve = recall_curve(tree.removal_order, setting.corrupted_indices)

@@ -1,29 +1,18 @@
-"""Differentiable relaxation of provenance polynomials (Section 5.3).
+"""Per-complaint interpreted Holistic objective over provenance trees.
 
-Holistic replaces every discrete prediction in a provenance polynomial with
-its class probability and every boolean operator with its continuous
-counterpart::
+Test oracle only.  :class:`Relaxer` evaluates one relaxed provenance tree
+at a probability matrix ``P`` of shape ``(n_sites, n_classes)`` and returns
+both the value and ``∂value/∂P`` via one reverse sweep over the expression
+DAG (Section 5.3's relaxation: AND → product, OR → 1-∏(1-x), NOT → 1-x;
+aggregates relax linearly).  :class:`InterpretedObjective` sums one such
+sweep per complaint — the seed's ``q(θ)``.  The library objective
+(:class:`~repro.relaxation.objective.RelaxedComplaintObjective`, one
+batched sweep over node arrays) is pinned to it to 1e-9 on values and
+gradients.  ``InterpretedObjective._q_interpreted`` is hash-pinned by
+GOLD001 (``src/repro/analysis/golden_paths.toml``).
 
-    x AND y  →  x · y
-    x OR  y  →  1 - (1 - x)(1 - y)
-    NOT x    →  1 - x
-
-applied even when sub-expressions share variables (the paper's tractable
-independence assumption; exact when each variable occurs once).  Aggregate
-polynomials relax linearly (COUNT → Σ p, SUM → Σ coeff·p, AVG → ratio).
-
-:class:`Relaxer` evaluates a polynomial at a probability matrix ``P`` of
-shape ``(n_sites, n_classes)`` and returns both the value and ``∂value/∂P``
-via one reverse sweep over the expression DAG.  Composed with the model's
-probability VJP this yields ``∇_θ q(θ)`` for influence analysis.
-
-This per-tree interpreter is the *golden reference* for the relaxation
-semantics.  The production path
-(:class:`~repro.relational.compile.CompiledProvenance`, used by
-:class:`~repro.relaxation.objective.RelaxedComplaintObjective` by default)
-evaluates every complaint polynomial of a query in one level-batched numpy
-sweep and is pinned to this implementation by randomized equivalence tests
-(values and gradients within 1e-9).
+It takes both pooled results and the pool-less results of
+:class:`tests.oracles.tree_provenance.TreeExecutor`.
 """
 
 from __future__ import annotations
@@ -32,8 +21,66 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import RelaxationError
-from ..relational import provenance as prov
+from repro.complaints.complaint import (
+    PredictionComplaint,
+    TupleComplaint,
+    ValueComplaint,
+)
+from repro.errors import RelaxationError
+from repro.relational import provenance as prov
+from repro.relaxation.objective import RelaxedComplaintObjective
+
+
+class InterpretedObjective(RelaxedComplaintObjective):
+    """``q(θ)`` by one :class:`Relaxer` reverse sweep per complaint tree."""
+
+    def __init__(self, result, complaints: Sequence) -> None:
+        super().__init__(result, complaints)
+        self.relaxer = Relaxer.for_model(self.model)
+
+    def _build_compiled_program(self) -> None:
+        """No node program: every complaint is relaxed from its tree."""
+
+    def q_value_and_pgrad(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
+        return self._q_interpreted(P_rows)
+
+    def _q_interpreted(self, P_rows: np.ndarray) -> tuple[float, np.ndarray]:
+        P = self._expand(P_rows)
+        total = 0.0
+        grad = np.zeros_like(P)
+        for complaint in self.complaints:
+            value, cgrad = self._complaint_term(complaint, P)
+            total += value
+            grad += cgrad
+        return total, self._collapse(grad)
+
+    def _complaint_term(self, complaint, P: np.ndarray) -> tuple[float, np.ndarray]:
+        if isinstance(complaint, ValueComplaint):
+            poly = complaint.polynomial(self.result)
+            if complaint.op in ("<=", ">=") and complaint.is_satisfied(self.result):
+                return 0.0, np.zeros_like(P)
+            relaxed, pgrad = self.relaxer.value_and_grad(poly, P)
+            residual = relaxed - complaint.value
+            return residual**2, 2.0 * residual * pgrad
+        if isinstance(complaint, TupleComplaint):
+            condition = complaint.condition(self.result)
+            relaxed, pgrad = self.relaxer.value_and_grad(condition, P)
+            return relaxed**2, 2.0 * relaxed * pgrad
+        if isinstance(complaint, PredictionComplaint):
+            site_id = complaint.site_id(self.result)
+            column = self.relaxer.class_columns[complaint.label]
+            residual = float(P[site_id, column]) - 1.0
+            pgrad = np.zeros_like(P)
+            pgrad[site_id, column] = 2.0 * residual
+            return residual**2, pgrad
+        raise RelaxationError(f"unknown complaint type {type(complaint).__name__}")
+
+
+def interpreted_case_objectives(case_results: Sequence) -> list[InterpretedObjective]:
+    """``batched_case_objectives`` on the interpreted objective."""
+    return [
+        InterpretedObjective(result, case.complaints) for case, result in case_results
+    ]
 
 
 class Relaxer:

@@ -33,16 +33,6 @@ class TestExecutionCache:
         # The shared pool is frozen exactly once and reused.
         assert result_a.pool.frozen() is result_b.pool.frozen()
 
-    def test_tree_mode_never_caches(self, adult_setting):
-        executor = Executor(adult_setting.database)
-        plan = plan_sql(
-            "SELECT AVG(predict(*)) FROM adult GROUP BY gender",
-            adult_setting.database,
-        )
-        cache = ExecutionCache(executor, provenance="tree")
-        assert cache.fetch(plan) is not cache.fetch(plan)
-        assert cache.hits == 0 and cache.misses == 2
-
     def test_execute_stage_dedups_and_keeps_case_order(self, adult_setting):
         setting = adult_setting
         cases = [setting.gender_case, setting.age_case, setting.gender_case]

@@ -1,4 +1,4 @@
-"""Expression-level unit tests (eval + symbolic provenance)."""
+"""Expression-level unit tests: eval, plus the tree oracle's symbolic provenance."""
 
 import numpy as np
 import pytest
@@ -18,12 +18,13 @@ from repro.relational.expressions import (
     ModelPredict,
     predict,
 )
+from tests.oracles.tree_provenance import symbolic_bool, symbolic_num
 
 
 @pytest.fixture()
 def batch(simple_db):
     relation = simple_db.relation("R")
-    return TupleBatch.from_relation(relation, "R", debug=True)
+    return TupleBatch.from_relation(relation, "R")
 
 
 @pytest.fixture()
@@ -82,7 +83,7 @@ class TestBooleanExprs:
             BoolOr([])
 
     def test_deterministic_symbolic_folds(self, batch, runtime):
-        conditions = Cmp("=", Col("flag"), Const(1)).symbolic_bool(batch, runtime)
+        conditions = symbolic_bool(Cmp("=", Col("flag"), Const(1)), batch, runtime)
         assert all(c.is_true() or c.is_false() for c in conditions)
         assert sum(c.is_true() for c in conditions) == 13
 
@@ -90,9 +91,7 @@ class TestBooleanExprs:
 class TestLike:
     def make_text_batch(self):
         texts = np.asarray(["hello http world", "deal me in", "plain"], dtype=object)
-        return TupleBatch(
-            {"T.text": texts}, {"T": "T"}, {"T": np.arange(3)}, [prov.TRUE] * 3
-        )
+        return TupleBatch({"T.text": texts}, {"T": "T"}, {"T": np.arange(3)})
 
     def test_contains(self, runtime):
         batch = self.make_text_batch()
@@ -143,23 +142,23 @@ class TestModelPredict:
 
     def test_predict_vs_const_symbolic(self, batch, runtime):
         expr = Cmp("=", predict("m", "features"), Const(1))
-        conditions = expr.symbolic_bool(batch, runtime)
+        conditions = symbolic_bool(expr, batch, runtime)
         assert all(isinstance(c, prov.PredIs) for c in conditions)
         assert all(c.label == 1 for c in conditions)
 
     def test_predict_not_equal_symbolic(self, batch, runtime):
         expr = Cmp("!=", predict("m", "features"), Const(1))
-        conditions = expr.symbolic_bool(batch, runtime)
+        conditions = symbolic_bool(expr, batch, runtime)
         # With two classes, != 1 is exactly the class-0 atom.
         assert all(isinstance(c, prov.PredIs) and c.label == 0 for c in conditions)
 
     def test_flipped_comparison(self, batch, runtime):
-        left = Cmp("=", Const(1), predict("m", "features")).symbolic_bool(batch, runtime)
-        right = Cmp("=", predict("m", "features"), Const(1)).symbolic_bool(batch, runtime)
+        left = symbolic_bool(Cmp("=", Const(1), predict("m", "features")), batch, runtime)
+        right = symbolic_bool(Cmp("=", predict("m", "features"), Const(1)), batch, runtime)
         assert repr(left) == repr(right)
 
     def test_predict_as_number_symbolic(self, batch, runtime):
-        values = predict("m", "features").symbolic_num(batch, runtime)
+        values = symbolic_num(predict("m", "features"), batch, runtime)
         assignment = runtime.current_assignment()
         concrete = predict("m", "features").eval(batch, runtime)
         for value, expected in zip(values, concrete):
@@ -167,7 +166,7 @@ class TestModelPredict:
 
     def test_arith_over_predict_symbolic(self, batch, runtime):
         expr = Arith("*", Const(10), predict("m", "features"))
-        values = expr.symbolic_num(batch, runtime)
+        values = symbolic_num(expr, batch, runtime)
         assignment = runtime.current_assignment()
         concrete = expr.eval(batch, runtime)
         for value, expected in zip(values, concrete):
@@ -176,7 +175,7 @@ class TestModelPredict:
     def test_unsupported_cmp_over_arith_predict(self, batch, runtime):
         expr = Cmp(">", Arith("+", predict("m", "features"), Const(1)), Const(1))
         with pytest.raises(UnsupportedQueryError):
-            expr.symbolic_bool(batch, runtime)
+            symbolic_bool(expr, batch, runtime)
 
     def test_predict_requires_column_ref(self):
         with pytest.raises(UnsupportedQueryError):

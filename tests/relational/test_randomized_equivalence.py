@@ -4,13 +4,14 @@ The hand-picked query shapes in ``test_executor_columnar`` pin each
 operator once; here a seeded generator produces AND/OR-heavy predicates
 over an L ⋈ R equi-join — the MNIST-join shape of the paper's Figure 6,
 with ``predict(L) = predict(R)`` filters mixed into the boolean tree —
-and every sampled plan must agree between the compiled (columnar) and
-tree (golden reference) representations on three levels:
+and every sampled plan must agree between the library's node arrays and
+the tree-building oracle (``tests.oracles.tree_provenance``) on three
+levels:
 
 - the concrete output relation (exact);
 - the relaxed complaint objective's value AND its θ-gradient to 1e-9,
-  compiled engine on the compiled result vs interpreted engine on the
-  tree result;
+  the library objective on the library result vs the interpreted oracle
+  objective on the tree result;
 - the complaint satisfied flag, tree walk vs columnar evaluation.
 """
 
@@ -41,6 +42,8 @@ from repro.relational import (
     Scan,
 )
 from repro.relaxation import RelaxedComplaintObjective
+from tests.oracles.relaxed_objective import InterpretedObjective
+from tests.oracles.tree_provenance import TreeExecutor
 
 SEEDS = list(range(8))
 
@@ -200,8 +203,8 @@ class TestRandomizedCompiledVsTree:
         rng = np.random.default_rng(seed)
         plan, shape = random_plan(rng)
         executor = Executor(join_db)
-        compiled = executor.execute(plan, debug=True, provenance="compiled")
-        tree = executor.execute(plan, debug=True, provenance="tree")
+        compiled = executor.execute(plan, debug=True)
+        tree = TreeExecutor(executor.database).execute(plan)
 
         relations_equal(compiled.relation, tree.relation)
         # Site ids are assigned in registration order, which the two
@@ -222,9 +225,7 @@ class TestRandomizedCompiledVsTree:
             return
 
         fast = RelaxedComplaintObjective(compiled, complaints)
-        slow = RelaxedComplaintObjective(tree, complaints)
-        assert fast.engine == "compiled"
-        assert slow.engine == "interpreted"
+        slow = InterpretedObjective(tree, complaints)
         assert fast.q_value() == pytest.approx(slow.q_value(), abs=1e-9)
         np.testing.assert_allclose(
             fast.q_grad_theta(), slow.q_grad_theta(), atol=1e-9

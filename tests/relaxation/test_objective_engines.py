@@ -1,4 +1,4 @@
-"""Compiled (batched) vs interpreted complaint objective equivalence."""
+"""Batched complaint objective vs the interpreted oracle objective."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,8 @@ import pytest
 from repro.complaints import PredictionComplaint, TupleComplaint, ValueComplaint
 from repro.relational import Database, Executor, Relation, plan_sql
 from repro.relaxation import RelaxedComplaintObjective
+from tests.oracles.relaxed_objective import InterpretedObjective
+from tests.oracles.tree_provenance import TreeExecutor
 
 
 @pytest.fixture()
@@ -25,8 +27,8 @@ def count_db(fitted_binary_model):
     return db
 
 
-def run_query(db, sql, provenance):
-    return Executor(db).execute(plan_sql(sql, db), debug=True, provenance=provenance)
+def run_query(db, sql, executor=Executor):
+    return executor(db).execute(plan_sql(sql, db), debug=True)
 
 
 COMPLAINT_SETS = {
@@ -53,9 +55,9 @@ QUERIES = {
 @pytest.mark.parametrize("case", sorted(COMPLAINT_SETS))
 def test_engines_agree_on_value_and_gradient(count_db, case):
     complaints = COMPLAINT_SETS[case]
-    result = run_query(count_db, QUERIES[case], "compiled")
-    compiled = RelaxedComplaintObjective(result, complaints, engine="compiled")
-    interpreted = RelaxedComplaintObjective(result, complaints, engine="interpreted")
+    result = run_query(count_db, QUERIES[case])
+    compiled = RelaxedComplaintObjective(result, complaints)
+    interpreted = InterpretedObjective(result, complaints)
     P = compiled.probabilities()
     q_fast, grad_fast = compiled.q_value_and_pgrad(P)
     q_slow, grad_slow = interpreted.q_value_and_pgrad(P)
@@ -68,12 +70,10 @@ def test_engines_agree_on_value_and_gradient(count_db, case):
 
 def test_engines_agree_across_result_modes(count_db):
     complaints = COMPLAINT_SETS["count"]
-    compiled_result = run_query(count_db, QUERIES["count"], "compiled")
-    tree_result = run_query(count_db, QUERIES["count"], "tree")
+    compiled_result = run_query(count_db, QUERIES["count"])
+    tree_result = run_query(count_db, QUERIES["count"], TreeExecutor)
     fast = RelaxedComplaintObjective(compiled_result, complaints)
-    slow = RelaxedComplaintObjective(tree_result, complaints)
-    assert fast.engine == "compiled"
-    assert slow.engine == "interpreted"
+    slow = InterpretedObjective(tree_result, complaints)
     assert fast.q_value() == pytest.approx(slow.q_value(), abs=1e-9)
     np.testing.assert_allclose(fast.q_grad_theta(), slow.q_grad_theta(), atol=1e-9)
 
@@ -83,10 +83,10 @@ def test_satisfied_inequality_never_relaxes_its_polynomial(count_db):
     # a degenerate P where the relaxed denominator is exactly zero, which
     # would raise if the gated polynomial were evaluated.
     sql = "SELECT AVG(predict(features)) AS mean FROM R WHERE predict(features) = 1"
-    result = run_query(count_db, sql, "compiled")
+    result = run_query(count_db, sql)
     complaints = [ValueComplaint(column="mean", op="<=", value=10.0, row_index=0)]
-    compiled = RelaxedComplaintObjective(result, complaints, engine="compiled")
-    interpreted = RelaxedComplaintObjective(result, complaints, engine="interpreted")
+    compiled = RelaxedComplaintObjective(result, complaints)
+    interpreted = InterpretedObjective(result, complaints)
     P = np.zeros_like(compiled.probabilities())
     P[:, 0] = 1.0  # every site predicts class 0: relaxed COUNT of the group is 0
     q_fast, grad_fast = compiled.q_value_and_pgrad(P)
@@ -97,12 +97,12 @@ def test_satisfied_inequality_never_relaxes_its_polynomial(count_db):
 
 def test_tuple_complaint_roots(count_db):
     sql = "SELECT * FROM R WHERE predict(features) = 1"
-    result = run_query(count_db, sql, "compiled")
+    result = run_query(count_db, sql)
     if len(result.relation) == 0:
         pytest.skip("no output tuples to complain about")
     complaints = [TupleComplaint(row_index=0)]
-    compiled = RelaxedComplaintObjective(result, complaints, engine="compiled")
-    interpreted = RelaxedComplaintObjective(result, complaints, engine="interpreted")
+    compiled = RelaxedComplaintObjective(result, complaints)
+    interpreted = InterpretedObjective(result, complaints)
     P = compiled.probabilities()
     q_fast, grad_fast = compiled.q_value_and_pgrad(P)
     q_slow, grad_slow = interpreted.q_value_and_pgrad(P)

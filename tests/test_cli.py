@@ -27,16 +27,16 @@ class TestParser:
         assert "thm_c1_value_of_complaints" in out
         assert (tmp_path / "thm_c1_value_of_complaints.txt").exists()
 
-    def test_serve_check_matches_tree_order(self, capsys):
-        argv = ["serve", "--check", "--n-train", "120", "--n-query", "300",
+    def test_serve_reports_plan_dedup(self, capsys):
+        argv = ["serve", "--n-train", "120", "--n-query", "300",
                 "--max-removals", "10"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "served 12 complaint cases over 2 distinct plans" in out
         assert "iteration 1: 2 executions for 12 cases (10 saved)" in out
-        assert "determinism check passed" in out
+        assert "removal order (10)" in out
 
-    def test_serve_drops_worker_and_async_flags(self):
-        for flag in ("--workers", "--async-pipeline"):
+    def test_serve_drops_worker_async_and_check_flags(self):
+        for flag in ("--workers", "--async-pipeline", "--check"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve", flag, "2"])
