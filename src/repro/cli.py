@@ -58,7 +58,7 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "thm_a1": (thm_a1.run, "Theorem A.1 ambiguity validation"),
     "thm_c1": (thm_c1.run, "Theorem C.1 value-of-complaints validation"),
     "serving": (serving.run, "Multi-query serving: plan dedup on 12 Adult cases"),
-    "ilp_encode": (ilp_encode.run, "Tree vs array-lowered ILP encode (fig6 joins)"),
+    "ilp_encode": (ilp_encode.run, "Array-lowered ILP encode (fig6 joins)"),
     "sweep": (scenario_sweep.run, "ENRON/Adult corruption-rate encode/solve sweep"),
 }
 

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from ..errors import ComplaintError
-from ..relational import provenance as prov
+from ..relational.compile import CompiledProvenance
 from ..relational.executor import QueryResult
 
 VALUE_OPS = ("=", "<=", ">=")
@@ -50,24 +50,12 @@ class ValueComplaint:
                 "specify exactly one of row_index / group_key for a value complaint"
             )
 
-    def polynomial(self, result: QueryResult) -> prov.NumExpr:
-        """The provenance polynomial of the complained-about cell."""
-        if self.group_key is not None:
-            return result.group_polynomial_by_key(self.group_key, self.column)
-        return result.cell_polynomial(self.row_index, self.column)
-
     def current_value(self, result: QueryResult) -> float:
-        return float(
-            self.polynomial(result).evaluate(result.assignment())
-        )
+        """The complained-about cell's value under the current predictions."""
+        return float(_node_values(result, [_complaint_node(self, result)])[0])
 
     def is_satisfied(self, result: QueryResult) -> bool:
-        current = self.current_value(result)
-        if self.op == "=":
-            return bool(np.isclose(current, self.value))
-        if self.op == "<=":
-            return bool(current <= self.value + 1e-9)
-        return bool(current >= self.value - 1e-9)
+        return _value_satisfied(self, self.current_value(result))
 
 
 @dataclass(frozen=True)
@@ -112,30 +100,11 @@ class TupleComplaint:
         """``TupleComplaint.for_lineage(L=3, R=7)`` — tuple from L row 3 ⋈ R row 7."""
         return cls(lineage=tuple(alias_row_ids.items()))
 
-    def condition(self, result: QueryResult) -> prov.BoolExpr:
-        """The existence condition of the offending tuple."""
-        if self.group_key is not None:
-            if result.groups is None:
-                raise ComplaintError("group_key complaint on a non-aggregate result")
-            for group in result.groups:
-                if group.key == self.group_key:
-                    return group.condition
-            raise ComplaintError(f"no group with key {self.group_key!r}")
-        if self.lineage is not None:
-            return self._lineage_condition(result)
-        return result.tuple_condition(self.row_index)
-
-    def _lineage_condition(self, result: QueryResult) -> prov.BoolExpr:
-        index = _lineage_candidate(result, self.lineage)
-        if index is None:
-            # The tuple is not even a candidate (deterministically
-            # filtered): it can never exist, so the complaint is
-            # vacuously satisfied.
-            return prov.FALSE
-        return result.candidate_batch.condition(index)
-
     def is_satisfied(self, result: QueryResult) -> bool:
-        return not self.condition(result).evaluate(result.assignment())
+        node = _complaint_node(self, result)
+        if node is None:
+            return True  # not even a candidate: the tuple can never exist
+        return _value_satisfied(self, float(_node_values(result, [node])[0]))
 
 
 @dataclass(frozen=True)
@@ -208,22 +177,29 @@ def _lineage_candidate(result: QueryResult, lineage: tuple) -> int | None:
 
 
 def _complaint_node(complaint: Complaint, result: QueryResult) -> int | None:
-    """The compiled node id a complaint's satisfaction depends on.
+    """The node id a value or tuple complaint's satisfaction depends on.
 
-    ``None`` means vacuously satisfied (a lineage tuple that is not even a
-    candidate), mirroring the ``prov.FALSE`` arm of the tree path.
+    A value complaint's cell node, or a tuple complaint's existence
+    condition.  ``None`` means vacuously satisfied: a lineage tuple that is
+    not even a candidate (deterministically filtered) can never exist.
     """
     if isinstance(complaint, ValueComplaint):
-        return result.cell_node_for(
-            complaint.column,
-            row_index=complaint.row_index,
-            group_key=complaint.group_key,
+        return int(
+            result.cell_node_for(
+                complaint.column,
+                row_index=complaint.row_index,
+                group_key=complaint.group_key,
+            )
         )
     if complaint.group_key is not None:
-        node = result.group_by_key(complaint.group_key).condition_node
-        if node is None:
-            raise ComplaintError("condition nodes need compiled mode")
-        return node
+        if result.groups is None:
+            raise ComplaintError("group_key complaint on a non-aggregate result")
+        for group in result.groups:
+            if group.key == complaint.group_key:
+                if group.condition_node is None:
+                    raise ComplaintError("condition nodes need compiled mode")
+                return int(group.condition_node)
+        raise ComplaintError(f"no group with key {complaint.group_key!r}")
     if complaint.lineage is not None:
         index = _lineage_candidate(result, complaint.lineage)
         if index is None:
@@ -231,7 +207,13 @@ def _complaint_node(complaint: Complaint, result: QueryResult) -> int | None:
         if result.candidate_cond_nodes is None:
             raise ComplaintError("lineage complaints need a compiled debug result")
         return int(result.candidate_cond_nodes[index])
-    return result.tuple_condition_node(complaint.row_index)
+    return int(result.tuple_condition_node(complaint.row_index))
+
+
+def _node_values(result: QueryResult, nodes) -> np.ndarray:
+    """Exact values of pool nodes under the current predictions."""
+    program = CompiledProvenance(result.pool, np.asarray(nodes, dtype=np.int64))
+    return program.evaluate(result.assignment())
 
 
 def _value_satisfied(complaint: Complaint, value: float) -> bool:
@@ -250,18 +232,13 @@ def all_satisfied_columnar(
 ) -> bool:
     """True when every complaint in every case is resolved.
 
-    Walking each complaint's ``is_satisfied`` materializes every
-    complained-about cell's expression tree from the node pool before
-    evaluating it — at serving scale that costs as much as executing the
-    query again.  Here all complaint node ids over one result are
-    evaluated in a single vectorized discrete forward pass
-    (:class:`~repro.relational.compile.CompiledProvenance` over the
-    result's pool), with the same per-complaint satisfaction predicates
-    applied to the root values.  Prediction complaints fall back to the
-    per-complaint ``is_satisfied``.
+    All complaint node ids over one result are evaluated in a single
+    vectorized discrete forward pass (one
+    :class:`~repro.relational.compile.CompiledProvenance` per result)
+    instead of one pass per complaint, with the same satisfaction
+    predicate ``is_satisfied`` applies.  Prediction complaints use their
+    own ``is_satisfied``.
     """
-    from ..relational.compile import CompiledProvenance
-
     grouped: dict[int, tuple[QueryResult, list[int], list[Complaint]]] = {}
     for case, result in case_results:
         for complaint in case.complaints:
@@ -276,10 +253,7 @@ def all_satisfied_columnar(
             entry[1].append(node)
             entry[2].append(complaint)
     for result, nodes, complaints in grouped.values():
-        program = CompiledProvenance(
-            result.pool, np.asarray(nodes, dtype=np.int64)
-        )
-        values = program.evaluate(result.assignment())
+        values = _node_values(result, nodes)
         for value, complaint in zip(values, complaints):
             if not _value_satisfied(complaint, float(value)):
                 return False

@@ -25,7 +25,9 @@ and by row-slicing when only records were deleted.
 
 The ``method="auto"`` heuristic matches Section 5.1: probe the TwoStep ILP
 for the number of optimal solutions; if the fix is unique, use TwoStep,
-otherwise use Holistic.
+otherwise use Holistic.  The probe is budgeted in branch & bound nodes
+only, never in wall-clock time, so the pick depends on (data, seed,
+config) and not on machine speed.
 
 Execute dedup: each iteration runs every *distinct* plan once (keyed by
 plan fingerprint through :class:`~repro.relational.executor.ExecutionCache`)
@@ -165,11 +167,9 @@ class RainDebugger:
         for case, plan in zip(self.cases, self._plans):
             result = self.executor.execute(plan, debug=True)
             try:
-                encoder = make_encoder(result)
-                encoder.add_complaints(case.complaints)
-                solutions = enumerate_optima(
-                    encoder.program, max_solutions=2, time_limit=10.0
-                )
+                encoder = make_encoder(result, case.complaints)
+                # Node budget only (no time_limit): a deterministic probe.
+                solutions = enumerate_optima(encoder.program, max_solutions=2)
             except ILPError:
                 return "holistic"
             if len(solutions) != 1:

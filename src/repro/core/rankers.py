@@ -336,8 +336,8 @@ class TwoStepRanker(Ranker):
         direct_sites = {complaint.site_id(result) for complaint in direct}
         if not indirect:
             return direct_marks, direct_sites, None, None
-        encoder = make_encoder(result)
-        encoder.add_complaints(case.complaints)  # point complaints pin sites
+        # Point complaints pin their sites in the program too.
+        encoder = make_encoder(result, case.complaints)
         solutions = enumerate_optima(
             encoder.program,
             max_solutions=self.ambiguity_cap,

@@ -1,22 +1,19 @@
-"""Array-lowered ILP encoding vs the tree-walking reference encoder.
+"""TwoStep ILP encode on fig6-shaped join provenance.
 
 The fig6-shaped join workload (model inference on both sides of an
 L ⋈ R equi-join, AND/OR predicate trees, COUNT/SUM/AVG aggregates) is
-where TwoStep's encode step used to dominate: the tree encoder first
-materializes every provenance expression out of the compiled NodePool
-and then walks it node by Python node, allocating aux variables and
-emitting linking rows one ``add_constraint`` call at a time.  The
-compiled encoder (:class:`repro.ilp.CompiledILPEncoder`) reads the
-opcode/CSR arrays directly — bulk aux-variable blocks, vectorized CSR
-constraint blocks, and cross-complaint aux reuse keyed on stable pool
+where TwoStep's encode step is heaviest: every candidate's condition
+feeds the complaint, and the encoder linearizes the shared AND/OR
+structure straight from the NodePool arrays — bulk aux-variable blocks,
+CSR constraint blocks, and cross-complaint aux reuse keyed on stable pool
 node ids.
 
-For each scenario this experiment re-executes the plan to get a fresh
-result (so neither path inherits the other's materialization caches),
-times both encoders best-of-N, and verifies the compiled program is
-*identical* to the tree program — same variable count, objective,
-constraint rows and coefficient order (names aside) — and that branch &
-bound enumerates the same optima in the same order.
+For each scenario this experiment re-executes the plan per timing round
+(so no round inherits another's caches), times ``make_encoder``
+best-of-N, and reports program size and aux dedup.  The comparison with
+the tree-walking encoder the programs are pinned to (speedup, program
+identity, enumeration order) is a benchmark over the test oracle:
+``benchmarks/test_bench_ilp_encode.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import time
 import numpy as np
 
 from ..complaints import TupleComplaint, ValueComplaint
-from ..ilp import CompiledILPEncoder, TiresiasEncoder, enumerate_optima
+from ..ilp import make_encoder
 from ..relational import (
     Aggregate,
     AggSpec,
@@ -190,35 +187,22 @@ def build_scenarios(seed: int = 0, depth: int = 4):
     ]
 
 
-def _program_signature(program):
-    return (
-        program.n_vars,
-        tuple(sorted(program.objective.items())),
-        program.objective_constant,
-        tuple(
-            (constraint.sense, constraint.rhs, tuple(constraint.coeffs))
-            for constraint in program.constraints
-        ),
-    )
+def time_encode(executor, plan, complaints_fn, encode, rounds: int = 3):
+    """Best-of-``rounds`` wall clock of ``encode(result, complaints)``.
 
-
-def _optima_trace(program, max_solutions: int, node_limit: int):
-    """Deterministic branch & bound outcome: optima trace or typed failure.
-
-    No wall-clock limit — the node budget keeps the solver's behavior a
-    pure function of the program, so identical programs must produce
-    identical traces *including* identical failures.
+    Every round encodes a fresh debug execution of ``plan``; returns the
+    best time and the last round's encoder.
     """
-    from ..errors import ILPError
-
-    try:
-        solutions = enumerate_optima(
-            program, max_solutions=max_solutions, node_limit=node_limit,
-            time_limit=None,
-        )
-    except ILPError as exc:
-        return [(type(exc).__name__, str(exc))]
-    return [(s.objective, tuple(s.values.tolist())) for s in solutions]
+    best = float("inf")
+    encoder = None
+    for _ in range(max(1, rounds)):
+        fresh = executor.execute(plan, debug=True)
+        complaints = complaints_fn(fresh)
+        start = time.perf_counter()
+        encoder = encode(fresh, complaints)
+        encoder.program.n_constraints
+        best = min(best, time.perf_counter() - start)
+    return best, encoder
 
 
 def run(
@@ -227,117 +211,51 @@ def run(
     n_keys: int = 8,
     depth: int = 4,
     rounds: int = 3,
-    max_solutions: int = 8,
-    node_limit: int = 1500,
     seed: int = 0,
 ) -> ExperimentResult:
-    """Tree vs compiled encode wall clock, dedup rates, and order parity.
-
-    Each timing round re-executes the plan so every encode starts from a
-    fresh result: the tree path pays its real cost (NodePool -> expression
-    materialization plus the recursive walk) instead of hitting the
-    pool's ``to_expr`` memo warmed by a previous round.
-    """
+    """Encode wall clock, program size and aux dedup per complaint shape."""
     db = build_join_database(n_left=n_left, n_right=n_right, n_keys=n_keys, seed=seed)
     executor = Executor(db)
     result = ExperimentResult("ilp_encode")
-
-    # The timing programs are too large to branch & bound inside the
-    # bench budget, so the enumeration-order parity check runs on a
-    # small companion workload per scenario shape; at timing scale the
-    # programs are verified *identical*, which pins the enumeration
-    # order a fortiori.
-    parity_db = build_join_database(n_left=24, n_right=16, n_keys=6, seed=seed)
-    parity_executor = Executor(parity_db)
-    parity_scenarios = {
-        name: (plan, complaints_fn)
-        for name, plan, complaints_fn in build_scenarios(seed=seed, depth=2)
-    }
-
     for name, plan, complaints_fn in build_scenarios(seed=seed, depth=depth):
-        def encode_with(encoder_cls):
-            best = float("inf")
-            encoder = None
-            for _ in range(max(1, rounds)):
-                fresh = executor.execute(plan, debug=True)
-                complaints = complaints_fn(fresh)
-                start = time.perf_counter()
-                encoder = encoder_cls(fresh)
-                for complaint in complaints:
-                    encoder.add_complaint(complaint)
-                n_rows = encoder.program.n_constraints
-                best = min(best, time.perf_counter() - start)
-            return best, encoder, n_rows
-
-        tree_s, tree_encoder, tree_rows = encode_with(TiresiasEncoder)
-        compiled_s, compiled_encoder, compiled_rows = encode_with(CompiledILPEncoder)
-
-        program_identical = _program_signature(
-            tree_encoder.program
-        ) == _program_signature(compiled_encoder.program)
-
-        parity_plan, parity_fn = parity_scenarios[name]
-        parity_result = parity_executor.execute(parity_plan, debug=True)
-        parity_tree = TiresiasEncoder(parity_result)
-        parity_compiled = CompiledILPEncoder(parity_result)
-        for complaint in parity_fn(parity_result):
-            parity_tree.add_complaint(complaint)
-            parity_compiled.add_complaint(complaint)
-        order_matches = _optima_trace(
-            parity_tree.program, max_solutions, node_limit
-        ) == _optima_trace(parity_compiled.program, max_solutions, node_limit)
-        program_identical = program_identical and (
-            _program_signature(parity_tree.program)
-            == _program_signature(parity_compiled.program)
+        encode_s, encoder = time_encode(
+            executor, plan, complaints_fn, make_encoder, rounds
         )
-
-        created = compiled_encoder.aux_created
-        reused = compiled_encoder.aux_reused
+        created = encoder.aux_created
+        reused = encoder.aux_reused
         touched = created + reused
         result.rows.append(
             {
                 "scenario": name,
-                "n_vars": tree_encoder.program.n_vars,
-                "n_rows": tree_rows,
-                "tree_encode_s": tree_s,
-                "compiled_encode_s": compiled_s,
-                "speedup": tree_s / compiled_s if compiled_s > 0 else float("inf"),
+                "n_vars": encoder.program.n_vars,
+                "n_rows": encoder.program.n_constraints,
+                "encode_s": encode_s,
                 "aux_created": created,
                 "aux_reused": reused,
                 "dedup_hit_rate": reused / touched if touched else 0.0,
-                "program_identical": program_identical,
-                "order_matches": order_matches,
             }
         )
-        assert compiled_rows == tree_rows
 
     aggregate = [row for row in result.rows if row["scenario"] != "selection"]
-    tree_total = sum(row["tree_encode_s"] for row in aggregate)
-    compiled_total = sum(row["compiled_encode_s"] for row in aggregate)
     result.rows.append(
         {
             "scenario": "AGGREGATE_TOTAL",
             "n_vars": sum(row["n_vars"] for row in aggregate),
             "n_rows": sum(row["n_rows"] for row in aggregate),
-            "tree_encode_s": tree_total,
-            "compiled_encode_s": compiled_total,
-            "speedup": tree_total / compiled_total,
+            "encode_s": sum(row["encode_s"] for row in aggregate),
             "aux_created": sum(row["aux_created"] for row in aggregate),
             "aux_reused": sum(row["aux_reused"] for row in aggregate),
             "dedup_hit_rate": 0.0,
-            "program_identical": all(r["program_identical"] for r in aggregate),
-            "order_matches": all(r["order_matches"] for r in aggregate),
         }
     )
     result.notes.append(
-        "speedup = tree-walk encode (expr materialization + per-node "
-        "add_constraint) over array-lowered encode (bulk aux blocks + CSR "
-        "constraint blocks); programs must be identical up to var names."
+        "encode_s = best-of-N make_encoder wall clock (bulk aux blocks + CSR "
+        "constraint blocks) on a fresh debug execution per round."
     )
     result.notes.append(
         "selection is the complaint-sparse regime: a handful of tuple "
-        "complaints touch a sliver of the pool, so the compiled encoder's "
-        "one-time pool canonicalization dominates.  AGGREGATE_TOTAL sums "
-        "the count/grouped rows, where every candidate feeds the complaint."
+        "complaints touch a sliver of the pool, so the one-time pool "
+        "canonicalization dominates.  AGGREGATE_TOTAL sums the count/grouped "
+        "rows, where every candidate feeds the complaint."
     )
     return result

@@ -8,8 +8,8 @@ Q5  SELECT COUNT(*) FROM MNIST WHERE predict(*)=1
 Q6  SELECT AVG(predict(*)) FROM Adult GROUP BY gender
 Q7  SELECT AVG(predict(*)) FROM Adult GROUP BY agedecade
 
-Each execution runs in debug mode and cross-checks that every provenance
-polynomial / tuple condition reproduces the concrete output under the
+Each execution runs in debug mode and cross-checks that every aggregate
+cell node / tuple condition node reproduces the concrete output under the
 current prediction assignment — the invariant the whole system rests on.
 """
 
@@ -19,26 +19,32 @@ import numpy as np
 
 from ..data import make_adult, make_dblp, make_enron, make_mnist, split_by_digit
 from ..ml import LogisticRegression, SoftmaxRegression
-from ..relational import Database, Relation
+from ..relational import CompiledProvenance, Database, Relation
 from .common import ExperimentResult, execute_sql
 
 
 def _check_consistency(result) -> bool:
-    assignment = result.assignment()
     if result.is_aggregate:
-        for row_index in range(len(result.relation)):
-            for column, poly in result.groups[
+        cells = [
+            (row_index, column, node)
+            for row_index in range(len(result.relation))
+            for column, node in result.groups[
                 result.output_to_group[row_index]
-            ].cell_polys.items():
-                concrete = float(result.relation.column(column)[row_index])
-                symbolic = float(poly.evaluate(assignment))
-                if not np.isclose(concrete, symbolic, equal_nan=True):
-                    return False
-        return True
-    for row_index in range(len(result.relation)):
-        if not result.tuple_condition(row_index).evaluate(assignment):
-            return False
-    return True
+            ].cell_nodes.items()
+        ]
+        nodes = [node for _, _, node in cells]
+    else:
+        nodes = [result.tuple_condition_node(i) for i in range(len(result.relation))]
+    values = CompiledProvenance(
+        result.pool, np.asarray(nodes, dtype=np.int64)
+    ).evaluate(result.assignment())
+    if not result.is_aggregate:
+        return bool(np.all(values == 1.0))
+    concrete = [
+        float(result.relation.column(column)[row_index])
+        for row_index, column, _ in cells
+    ]
+    return bool(np.all(np.isclose(concrete, values, equal_nan=True)))
 
 
 def run(seed: int = 0) -> ExperimentResult:

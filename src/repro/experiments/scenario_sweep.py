@@ -7,13 +7,11 @@ matching emails (via :func:`repro.data.corrupt_labels` over the token
 mask), giving a corruption-rate axis the original rule lacks.  Figure
 8's Adult setting already takes a flip fraction directly.
 
-For every (scenario, rate) cell the experiment executes the complaint
-query once with compiled provenance, then times the tree-walking
-reference encoder against the array-lowered compiled encoder
-(best-of-N, fresh result per round so neither path inherits warmed
-``to_expr`` memos), checks the two programs are identical up to
-variable naming, and times one deterministic branch & bound solve of
-the complaint ILP.
+For every (scenario, rate) cell the experiment times the TwoStep encode
+of the complaint query (best-of-N ``make_encoder``, a fresh debug
+execution per round) and one deterministic branch & bound solve of the
+complaint ILP.  ``benchmarks/test_bench_scenario_sweep.py`` checks every
+program against the tree-walking test oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +23,12 @@ import numpy as np
 from ..complaints import ComplaintCase, ValueComplaint
 from ..data import contains_token, corrupt_labels, make_enron
 from ..errors import ILPError
-from ..ilp import CompiledILPEncoder, TiresiasEncoder, solve
+from ..ilp import make_encoder, solve
 from ..ml import LogisticRegression
 from ..relational import Database, Executor, Relation, plan_sql
 from .common import ExperimentResult
 from .fig8_multiquery import build_adult_setting
-from .ilp_encode import _program_signature
+from .ilp_encode import time_encode
 
 
 def build_enron_rate_setting(
@@ -69,7 +67,8 @@ def build_enron_rate_setting(
     return database, case
 
 
-def _scenarios(rates, flip_fractions, n_train, n_query, seed):
+def scenarios(rates, flip_fractions, n_train, n_query, seed):
+    """``(name, rate, database, case)`` per sweep cell."""
     for token in ("http", "deal"):
         for rate in rates:
             database, case = build_enron_rate_setting(
@@ -94,35 +93,19 @@ def run(
     seed: int = 0,
 ) -> ExperimentResult:
     result = ExperimentResult("scenario_sweep")
-    for name, rate, database, case in _scenarios(
+    for name, rate, database, case in scenarios(
         rates, flip_fractions, n_train, n_query, seed
     ):
-        executor = Executor(database)
-        plan = plan_sql(case.query, database)
-
-        def encode_with(encoder_cls):
-            best = float("inf")
-            encoder = None
-            for _ in range(max(1, rounds)):
-                fresh = executor.execute(plan, debug=True)
-                start = time.perf_counter()
-                encoder = encoder_cls(fresh)
-                encoder.add_complaints(case.complaints)
-                encoder.program.n_constraints
-                best = min(best, time.perf_counter() - start)
-            return best, encoder
-
-        tree_s, tree_encoder = encode_with(TiresiasEncoder)
-        compiled_s, compiled_encoder = encode_with(CompiledILPEncoder)
-        program_identical = _program_signature(
-            tree_encoder.program
-        ) == _program_signature(compiled_encoder.program)
-
+        encode_s, encoder = time_encode(
+            Executor(database),
+            plan_sql(case.query, database),
+            lambda _result: case.complaints,
+            make_encoder,
+            rounds,
+        )
         start = time.perf_counter()
         try:
-            solution = solve(
-                compiled_encoder.program, node_limit=node_limit, time_limit=None
-            )
+            solution = solve(encoder.program, node_limit=node_limit, time_limit=None)
             solve_status = f"optimal(obj={solution.objective:g})"
         except ILPError as exc:
             solve_status = type(exc).__name__
@@ -132,12 +115,9 @@ def run(
             {
                 "scenario": name,
                 "rate": rate,
-                "n_vars": tree_encoder.program.n_vars,
-                "n_rows": tree_encoder.program.n_constraints,
-                "tree_encode_s": tree_s,
-                "compiled_encode_s": compiled_s,
-                "speedup": tree_s / compiled_s if compiled_s > 0 else float("inf"),
-                "program_identical": program_identical,
+                "n_vars": encoder.program.n_vars,
+                "n_rows": encoder.program.n_constraints,
+                "encode_s": encode_s,
                 "solve_s": solve_s,
                 "solve_status": solve_status,
             }
@@ -150,13 +130,11 @@ def run(
     result.notes.append(
         "encode timings are best-of-N on a fresh debug execution per round; "
         "solve is one deterministic branch & bound run (node budget, no "
-        "wall-clock limit) on the compiled program."
+        "wall-clock limit) on the encoded program."
     )
     result.notes.append(
-        "these single-table paper scenarios carry *flat* provenance (each "
-        "aggregate cell is a linear sum of prediction atoms, no nested "
-        "AND/OR), so tree and compiled encode at rough parity here — the "
-        "array lowering's headroom is on deep join provenance, measured by "
-        "the ilp_encode bench."
+        "these single-table paper scenarios carry flat provenance (COUNT "
+        "cells are linear sums of prediction atoms; the Adult AVG cells sum "
+        "predict() values), no nested AND/OR."
     )
     return result

@@ -12,30 +12,28 @@ A satisfying assignment is read back as a per-site *target labelling*
 ``t_i``; sites with ``t_i ≠ r_i`` are the marked mispredictions handed to
 the influence step.
 
-Two encoders produce byte-identical programs:
+:class:`TiresiasEncoder` builds the program straight from the result's
+:class:`~repro.relational.compile.NodePool` arrays: aux variables are
+allocated in bulk per complaint, the AND/OR linking inequalities land as
+CSR constraint blocks, and a subtree shared by several complaints is
+linearized once (aux variables are keyed on canonical pool node ids).
+Every value complaint goes through one decomposition of its cell node
+(:meth:`TiresiasEncoder._numeric`) that covers COUNT/SUM/AVG over
+deterministic values and over ``predict()``, with or without a
+prediction-dependent ``WHERE``.
 
-- :class:`TiresiasEncoder` — the golden reference; walks expression trees
-  recursively, one ``add_var``/``add_constraint`` per node.  It is the
-  only encoder for results without a node pool (the tree-provenance test
-  oracle's).
-- :class:`CompiledILPEncoder` — the array path for results with a node
-  pool; allocates aux variables in bulk per complaint, emits the
-  AND/OR linking inequalities as CSR constraint blocks straight from the
-  :class:`~repro.relational.compile.NodePool` arrays, and dedups shared
-  subtrees across complaints by keying aux variables on canonical pool
-  node ids.  Variable allocation order (DFS preorder), constraint order
-  (postorder, child rows then sum row, complaint row last) and
-  within-row coefficient order all replicate the tree walk exactly, so
-  optimal solutions *and* the enumeration order of tied optima match.
-
-:func:`make_encoder` picks between them from the result alone: the
-compiled encoder when the result carries a node pool, the tree walk
-otherwise.
+Variable allocation order (DFS preorder), constraint order (postorder,
+child rows then sum row, complaint row last), within-row coefficient
+order and every floating-point accumulation replicate the seed's
+recursive walk over provenance expression trees, so the programs — and
+therefore the optimal solutions *and* the enumeration order of tied
+optima — are byte-identical to it.  That walk is kept as the test oracle
+``tests/oracles/tree_encoder.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -43,11 +41,11 @@ from ..complaints.complaint import (
     PredictionComplaint,
     TupleComplaint,
     ValueComplaint,
-    _lineage_candidate,
+    _complaint_node,
 )
-from ..errors import ComplaintError, ILPError
-from ..relational import provenance as prov
+from ..errors import ILPError
 from ..relational.compile import (
+    FALSE_NODE,
     OP_ADD,
     OP_AND,
     OP_ATOM,
@@ -65,37 +63,35 @@ from .solver import ILPSolution
 
 Affine = tuple[dict[int, float], float]
 
-def make_encoder(result: QueryResult) -> "TiresiasEncoder":
-    """The TwoStep encoder for this result: array path when it has a node pool.
+# A cell node as the seed's expression constructors would have built it
+# (see TiresiasEncoder._numeric): ("const", value), ("bool", canonical
+# node), ("lin", coeffs, canonical nodes), ("add", terms), ("mul",
+# factors) or ("div", numerator, denominator).
+Numeric = tuple
 
-    Pool-less results (the tree-provenance test oracle's) get the
-    tree-walking reference encoder (both build byte-identical programs).
-    """
-    if getattr(result, "compiled", False):
-        return CompiledILPEncoder(result)
-    return TiresiasEncoder(result)
+# Expression class names of the numeric shapes, for error messages that
+# name the shape the way the seed's walk did.
+_SHAPE_NAMES = {
+    "const": "ConstNum",
+    "bool": "BoolAsNum",
+    "lin": "LinearSum",
+    "add": "AddExpr",
+    "wsum": "AddExpr",
+    "mul": "MulExpr",
+    "div": "DivExpr",
+}
+
+_RATIO_ERROR = (
+    "ratio polynomials must be handled at the complaint level "
+    "(AVG complaints are cross-multiplied)"
+)
 
 
-class _ExprKey:
-    """Identity key for an aux-cache entry that pins its expression alive.
-
-    Keying the cache on a bare ``id(expr)`` is unsound for lazily built
-    trees: once an expression is garbage collected its id can be reused by
-    a *different* subexpression, silently merging the two.  The wrapper
-    holds a strong reference (the cache keeps the key), so the id stays
-    taken for as long as the entry exists.
-    """
-
-    __slots__ = ("expr",)
-
-    def __init__(self, expr) -> None:
-        self.expr = expr
-
-    def __hash__(self) -> int:
-        return hash(id(self.expr))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _ExprKey) and self.expr is other.expr
+def make_encoder(result: QueryResult, complaints: Sequence) -> "TiresiasEncoder":
+    """The TwoStep program for ``complaints`` over one debug-mode result."""
+    encoder = TiresiasEncoder(result)
+    encoder.add_complaints(complaints)
+    return encoder
 
 
 def _affine_add(a: Affine, b: Affine, scale: float = 1.0) -> Affine:
@@ -105,15 +101,11 @@ def _affine_add(a: Affine, b: Affine, scale: float = 1.0) -> Affine:
     return coeffs, a[1] + scale * b[1]
 
 
-def _affine_scale(a: Affine, scale: float) -> Affine:
-    return {index: coeff * scale for index, coeff in a[0].items()}, a[1] * scale
-
-
 class TiresiasEncoder:
     """Builds the TwoStep ILP for one debug-mode query result."""
 
     def __init__(self, result: QueryResult) -> None:
-        if not result.debug:
+        if not result.debug or result.pool is None:
             raise ILPError("TwoStep needs a debug-mode query result")
         self.result = result
         self.runtime = result.runtime
@@ -128,13 +120,6 @@ class TiresiasEncoder:
         )
         # (site_id, label) -> y variable index
         self.y_vars: dict[tuple[int, object], int] = {}
-        # Aux-variable cache keyed by canonical pool node id when the
-        # expression came from a compiled pool, else by an identity key
-        # that keeps the expression alive (see _aux_key / _ExprKey).
-        self._aux_cache: dict[object, Affine] = {}
-        self._pool = getattr(result, "pool", None) if getattr(
-            result, "compiled", False
-        ) else None
 
         # One run of the site registry shares a model, so variables and
         # one-hot constraints are laid out run by run in bulk.
@@ -173,289 +158,16 @@ class TiresiasEncoder:
             constant += 1.0
         self.program.set_objective(objective, constant)
 
-    # -- boolean linearization ---------------------------------------------------
-
-    def _aux_key(self, expr: prov.BoolExpr) -> object:
-        """Stable aux-cache key: canonical pool node id when known.
-
-        Trees materialized from a compiled pool share one canonical node
-        per structurally-distinct subexpression, so node-id keys let the
-        array encoder and this tree walk share one cache.  Everything else
-        gets an identity wrapper that pins the object (``id()`` alone can
-        be recycled after GC, merging distinct subexpressions).
-        """
-        if self._pool is not None:
-            node = self._pool.node_for_expr(expr)
-            if node is not None:
-                return node
-        return _ExprKey(expr)
-
-    def bool_affine(self, expr: prov.BoolExpr) -> Affine:
-        """Affine form whose value equals the boolean expression's truth."""
-        if isinstance(expr, prov.TrueExpr):
-            return {}, 1.0
-        if isinstance(expr, prov.FalseExpr):
-            return {}, 0.0
-        if isinstance(expr, prov.PredIs):
-            key = (expr.site_id, expr.label)
-            if key not in self.y_vars:
-                raise ILPError(f"atom {expr!r} refers to an unknown site/class")
-            return {self.y_vars[key]: 1.0}, 0.0
-        if isinstance(expr, prov.NotExpr):
-            inner = self.bool_affine(expr.child)
-            return _affine_add(({}, 1.0), inner, scale=-1.0)
-        key = self._aux_key(expr)
-        cached = self._aux_cache.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(expr, prov.AndExpr):
-            affine = self._linearize_and(expr)
-        elif isinstance(expr, prov.OrExpr):
-            affine = self._linearize_or(expr)
-        else:
-            raise ILPError(f"cannot linearize {type(expr).__name__}")
-        self._aux_cache[key] = affine
-        return affine
-
-    def _linearize_and(self, expr: prov.AndExpr) -> Affine:
-        z = self.program.add_var(f"and_{len(self._aux_cache)}")
-        children = [self.bool_affine(child) for child in expr.children]
-        # z <= child_i  →  z - child_i <= 0
-        for child in children:
-            coeffs = {z: 1.0}
-            for index, coeff in child[0].items():
-                coeffs[index] = coeffs.get(index, 0.0) - coeff
-            self.program.add_constraint(coeffs, "<=", child[1])
-        # z >= Σ child_i - (k - 1)
-        total: Affine = ({}, 0.0)
-        for child in children:
-            total = _affine_add(total, child)
-        coeffs = {z: 1.0}
-        for index, coeff in total[0].items():
-            coeffs[index] = coeffs.get(index, 0.0) - coeff
-        self.program.add_constraint(coeffs, ">=", total[1] - (len(children) - 1))
-        return {z: 1.0}, 0.0
-
-    def _linearize_or(self, expr: prov.OrExpr) -> Affine:
-        z = self.program.add_var(f"or_{len(self._aux_cache)}")
-        children = [self.bool_affine(child) for child in expr.children]
-        # z >= child_i
-        for child in children:
-            coeffs = {z: 1.0}
-            for index, coeff in child[0].items():
-                coeffs[index] = coeffs.get(index, 0.0) - coeff
-            self.program.add_constraint(coeffs, ">=", child[1])
-        # z <= Σ child_i
-        total: Affine = ({}, 0.0)
-        for child in children:
-            total = _affine_add(total, child)
-        coeffs = {z: 1.0}
-        for index, coeff in total[0].items():
-            coeffs[index] = coeffs.get(index, 0.0) - coeff
-        self.program.add_constraint(coeffs, "<=", total[1])
-        return {z: 1.0}, 0.0
-
-    # -- numeric linearization ------------------------------------------------------
-
-    def num_affine(self, expr: prov.NumExpr) -> Affine:
-        if isinstance(expr, prov.ConstNum):
-            return {}, expr.value
-        if isinstance(expr, prov.BoolAsNum):
-            return self.bool_affine(expr.expr)
-        if isinstance(expr, prov.LinearSum):
-            total: Affine = ({}, 0.0)
-            for coeff, cond in expr.terms:
-                total = _affine_add(total, self.bool_affine(cond), scale=coeff)
-            return total
-        if isinstance(expr, prov.AddExpr):
-            total = ({}, 0.0)
-            for child in expr.children:
-                total = _affine_add(total, self.num_affine(child))
-            return total
-        if isinstance(expr, prov.MulExpr):
-            return self._linearize_product(expr)
-        if isinstance(expr, prov.DivExpr):
-            raise ILPError(
-                "ratio polynomials must be handled at the complaint level "
-                "(AVG complaints are cross-multiplied)"
-            )
-        raise ILPError(f"cannot linearize numeric node {type(expr).__name__}")
-
-    def _linearize_product(self, expr: prov.MulExpr) -> Affine:
-        constant = 1.0
-        bools: list[prov.BoolExpr] = []
-        linear_sums: list[prov.LinearSum] = []
-        for child in expr.children:
-            if isinstance(child, prov.ConstNum):
-                constant *= child.value
-            elif isinstance(child, prov.BoolAsNum):
-                bools.append(child.expr)
-            elif isinstance(child, prov.LinearSum):
-                linear_sums.append(child)
-            else:
-                raise ILPError(
-                    f"product over {type(child).__name__} is not linearizable"
-                )
-        if len(linear_sums) > 1:
-            raise ILPError("products of two non-boolean sums are not linearizable")
-        if not linear_sums:
-            if not bools:
-                return {}, constant
-            conjunction = prov.and_(*bools)
-            return _affine_scale(self.bool_affine(conjunction), constant)
-        # boolean(s) × LinearSum: distribute over the sum's terms.
-        linear = linear_sums[0]
-        total: Affine = ({}, 0.0)
-        for coeff, cond in linear.terms:
-            conjunction = prov.and_(*bools, cond)
-            total = _affine_add(total, self.bool_affine(conjunction), scale=coeff)
-        return _affine_scale(total, constant)
-
-    # -- complaints ---------------------------------------------------------------------
-
-    def add_complaints(self, complaints: Sequence) -> None:
-        for complaint in complaints:
-            self.add_complaint(complaint)
-
-    def _compiled_value_affine(self, complaint: ValueComplaint) -> Affine | None:
-        """Affine form straight from compiled ``Σ coeff·atom`` cell arrays.
-
-        COUNT/SUM cells compile to one ADD-over-atoms node; its flat term
-        arrays map directly onto y-variables without materializing a tree.
-        Returns ``None`` for other shapes (AVG ratios, deterministic
-        members, tree-mode results), which take the interpreted path.
-        """
-        result = self.result
-        if not getattr(result, "compiled", False):
-            return None
-        node = result.cell_node_for(
-            complaint.column,
-            row_index=complaint.row_index,
-            group_key=complaint.group_key,
-        )
-        terms = result.pool.linear_atom_terms(node)
-        if terms is None:
-            return None
-        coeffs, sites, label_ids = terms
-        labels = result.pool.labels
-        affine: dict[int, float] = {}
-        for coeff, site, label_id in zip(
-            coeffs.tolist(), sites.tolist(), label_ids.tolist()
-        ):
-            var = self.y_vars.get((site, labels[label_id]))
-            if var is None:
-                raise ILPError(
-                    f"atom [site {site} = {labels[label_id]!r}] refers to an "
-                    "unknown site/class"
-                )
-            affine[var] = affine.get(var, 0.0) + coeff
-        return affine, 0.0
-
-    def add_complaint(self, complaint) -> None:
-        if isinstance(complaint, ValueComplaint):
-            fast = self._compiled_value_affine(complaint)
-            if fast is not None:
-                self.program.add_constraint(
-                    fast[0], complaint.op, complaint.value - fast[1]
-                )
-                return
-            poly = complaint.polynomial(self.result)
-            if isinstance(poly, prov.DivExpr):
-                # AVG: num / den op X  →  num - X·den op 0 (den ≥ 0).
-                numerator = self.num_affine(poly.numerator)
-                denominator = self.num_affine(poly.denominator)
-                affine = _affine_add(numerator, denominator, scale=-complaint.value)
-                self.program.add_constraint(affine[0], complaint.op, -affine[1])
-                return
-            affine = self.num_affine(poly)
-            self.program.add_constraint(
-                affine[0], complaint.op, complaint.value - affine[1]
-            )
-            return
-        if isinstance(complaint, TupleComplaint):
-            condition = complaint.condition(self.result)
-            affine = self.bool_affine(condition)
-            self.program.add_constraint(affine[0], "=", -affine[1])
-            return
-        if isinstance(complaint, PredictionComplaint):
-            site_id = complaint.site_id(self.result)
-            key = (site_id, complaint.label)
-            if key not in self.y_vars:
-                raise ILPError(f"{complaint.label!r} is not a class of the model")
-            self.program.add_constraint({self.y_vars[key]: 1.0}, "=", 1.0)
-            return
-        raise ILPError(f"unknown complaint type {type(complaint).__name__}")
-
-    # -- reading back solutions -------------------------------------------------------------
-
-    def solution_targets(self, solution: ILPSolution) -> dict[int, object]:
-        """``site_id -> target label`` from an integral solution."""
-        targets: dict[int, object] = {}
-        for site_id in self.site_ids:
-            chosen = [
-                label
-                for label in self.classes_by_site[site_id]
-                if solution.values[self.y_vars[(site_id, label)]] > 0.5
-            ]
-            if len(chosen) != 1:
-                raise ILPError(
-                    f"site {site_id} has {len(chosen)} selected classes; "
-                    "the solution is not a valid labelling"
-                )
-            targets[site_id] = chosen[0]
-        return targets
-
-    def marked_mispredictions(
-        self, solution: ILPSolution
-    ) -> list[tuple[int, object]]:
-        """Sites whose target label differs from the current prediction."""
-        targets = self.solution_targets(solution)
-        return [
-            (site_id, label)
-            for site_id, label in targets.items()
-            if label != self.current_labels[site_id]
-        ]
-
-    def changed_count(self, solution: ILPSolution) -> int:
-        return len(self.marked_mispredictions(solution))
-
-
-class CompiledILPEncoder(TiresiasEncoder):
-    """Array-native TwoStep encoder over a compiled provenance pool.
-
-    Instead of materializing expression trees and walking them node by
-    node, complaints are encoded straight from the pool's flat arrays:
-
-    - the pool's *effective* boolean structure (constant folds, same-op
-      flattening and aliasing exactly as tree materialization would apply
-      them) comes from :meth:`_FrozenPool.bool_structure`;
-    - aux variables for all fresh AND/OR nodes of a complaint are
-      allocated as one :meth:`BinaryProgram.add_var_block` in DFS preorder;
-    - the linking inequalities land as one CSR
-      :meth:`BinaryProgram.add_constraint_block` in DFS postorder;
-    - aux variables are keyed on canonical pool node ids (``_aux_var``),
-      so a subtree shared by several complaints is linearized once.
-
-    The emitted program is byte-identical to :class:`TiresiasEncoder` on
-    the same result — variables, constraint order, coefficient order and
-    right-hand sides — which keeps optimal solutions and the enumeration
-    order of tied optima bit-identical.  Unsupported cell shapes fall back
-    to the tree walk per complaint (sharing the same aux cache).
-    """
-
-    def __init__(self, result: QueryResult) -> None:
-        super().__init__(result)
-        if not getattr(result, "compiled", False):
-            raise ILPError("CompiledILPEncoder needs a compiled-provenance result")
         self.pool = result.pool
         f = self.pool.frozen()
         self._f = f
+        self._n_nodes = int(f.op.shape[0])
         structure = f.bool_structure()
         self._rep = structure.rep
         self._eff_start = structure.eff_start
         self._eff_end = structure.eff_end
         self._eff_child = structure.eff_child
-        # Plain-list mirrors for the DFS hot loop: python ints index lists
+        # Plain-list mirrors for the DFS hot loops: python ints index lists
         # several times faster than numpy scalars.  The structure's lists
         # are cached per freeze, shared across encoders on this pool.
         self._rep_l, self._eff_start_l, self._eff_end_l, self._eff_child_l = (
@@ -464,10 +176,18 @@ class CompiledILPEncoder(TiresiasEncoder):
         self._op_l = f.op.tolist()
         self._child_l = f.child.tolist()
         self._child_start_l = f.child_start.tolist()
+        # Further mirrors for _numeric, built by the first value complaint.
+        self._child_end_l: list[int] | None = None
+        self._value_l: list[float] = []
         # Canonical node id -> aux variable index (-1 = not yet created);
         # the list is the DFS-side mirror of the array, kept in sync.
-        self._aux_var = np.full(f.op.shape[0], -1, dtype=np.int64)
-        self._aux_l = [-1] * f.op.shape[0]
+        self._aux_var = np.full(self._n_nodes, -1, dtype=np.int64)
+        self._aux_l = [-1] * self._n_nodes
+        # Fresh conjunctions (see _conjoin) get ids past the pool's nodes;
+        # entry i holds the canonical children of conjunction n_nodes + i.
+        self._fresh_children: list[list[int]] = []
+        # Cell node -> Numeric shape, shared by complaints on one cell.
+        self._numeric_memo: dict[int, Numeric] = {}
         # Dense (site, label_id) -> y variable table (-1 = unknown class).
         ytab = np.full((len(self.runtime.sites), len(f.labels)), -1, dtype=np.int64)
         label_ids = self.pool._label_ids
@@ -479,273 +199,347 @@ class CompiledILPEncoder(TiresiasEncoder):
         self.aux_created = 0
         self.aux_reused = 0
 
-    # -- complaints ------------------------------------------------------------
+    # -- complaints ---------------------------------------------------------------
+
+    def add_complaints(self, complaints: Sequence) -> None:
+        for complaint in complaints:
+            self.add_complaint(complaint)
 
     def add_complaint(self, complaint) -> None:
         if isinstance(complaint, ValueComplaint):
-            if self._try_value_complaint(complaint):
-                return
-            super().add_complaint(complaint)
+            self._add_value_complaint(complaint)
             return
         if isinstance(complaint, TupleComplaint):
             self._add_tuple_complaint(complaint)
             return
-        super().add_complaint(complaint)
+        if isinstance(complaint, PredictionComplaint):
+            site_id = complaint.site_id(self.result)
+            key = (site_id, complaint.label)
+            if key not in self.y_vars:
+                raise ILPError(f"{complaint.label!r} is not a class of the model")
+            self.program.add_constraint({self.y_vars[key]: 1.0}, "=", 1.0)
+            return
+        raise ILPError(f"unknown complaint type {type(complaint).__name__}")
 
-    def _try_value_complaint(self, complaint: ValueComplaint) -> bool:
-        """Encode a value complaint from cell node arrays; False = fall back."""
-        node = int(
-            self.result.cell_node_for(
-                complaint.column,
-                row_index=complaint.row_index,
-                group_key=complaint.group_key,
-            )
-        )
-        f = self._f
-        if node >= f.op.shape[0]:
-            return False  # appended after the freeze; take the tree path
-        if f.op[node] == OP_DIV:
+    def _add_value_complaint(self, complaint: ValueComplaint) -> None:
+        node = _complaint_node(complaint, self.result)
+        if self._op_l[node] == OP_DIV:
             # AVG: num / den op X  →  num - X·den op 0 (den ≥ 0), with the
-            # numerator linearized before the denominator like the tree walk.
-            num = int(f.child[f.child_start[node]])
-            den = int(f.child[f.child_start[node] + 1])
-            num_terms = self._value_terms(num)
-            den_terms = self._value_terms(den)
-            if num_terms is None or den_terms is None:
-                return False
-            roots = list(zip(num_terms[0], num_terms[3])) + list(
-                zip(den_terms[0], den_terms[3])
-            )
-            post_nodes, post_z, root_z = self._linearize_roots(roots)
-            self._emit_link_rows(post_nodes, post_z)
-            n_num = len(num_terms[0])
-            affine = _affine_add(
-                self._terms_affine(*num_terms[:3], root_z[:n_num]),
-                self._terms_affine(*den_terms[:3], root_z[n_num:]),
-                scale=-complaint.value,
-            )
+            # numerator linearized before the denominator.
+            start = self._child_start_l[node]
+            numerator = self._num_affine(self._child_l[start])
+            denominator = self._num_affine(self._child_l[start + 1])
+            affine = _affine_add(numerator, denominator, scale=-complaint.value)
             self.program.add_constraint(affine[0], complaint.op, -affine[1])
-            return True
-        terms = self._value_terms(node)
-        if terms is None:
-            return False
-        post_nodes, post_z, root_z = self._linearize_roots(
-            list(zip(terms[0], terms[3]))
-        )
-        self._emit_link_rows(post_nodes, post_z)
-        affine = self._terms_affine(*terms[:3], root_z)
+            return
+        affine = self._num_affine(node)
         self.program.add_constraint(
             affine[0], complaint.op, complaint.value - affine[1]
         )
-        return True
 
     def _add_tuple_complaint(self, complaint: TupleComplaint) -> None:
-        node = self._tuple_condition_node(complaint)
+        node = _complaint_node(complaint, self.result)
         if node is None:
-            # A lineage tuple that is not even a candidate: the tree path
-            # linearizes prov.FALSE into the vacuous row 0 = 0.
+            # A lineage tuple that is not even a candidate can never exist:
+            # its condition is FALSE, the vacuous row 0 = 0.
             self.program.add_constraint({}, "=", -0.0)
             return
-        post_nodes, post_z, _ = self._linearize_roots([(node, False)])
+        node = self._rep_l[node]
+        post_nodes, post_z, _ = self._linearize_roots([node])
         self._emit_link_rows(post_nodes, post_z)
-        var, sign, const = self._bool_affine_arrays(
-            self._rep[np.asarray([node], dtype=np.int64)]
-        )
+        var, sign, const = self._bool_affine_arrays(np.asarray([node], dtype=np.int64))
         affine = {int(var[0]): float(sign[0])} if var[0] >= 0 else {}
         self.program.add_constraint(affine, "=", -float(const[0]))
 
-    def _tuple_condition_node(self, complaint: TupleComplaint) -> int | None:
-        """Mirror ``TupleComplaint.condition``'s addressing (and errors) on node ids."""
-        result = self.result
-        if complaint.group_key is not None:
-            if result.groups is None:
-                raise ComplaintError("group_key complaint on a non-aggregate result")
-            for group in result.groups:
-                if group.key == complaint.group_key:
-                    return int(group.condition_node)
-            raise ComplaintError(f"no group with key {complaint.group_key!r}")
-        if complaint.lineage is not None:
-            index = _lineage_candidate(result, complaint.lineage)
-            return None if index is None else int(result.candidate_cond_nodes[index])
-        return int(result.tuple_condition_node(complaint.row_index))
+    # -- value complaints: cell shape and affine form ------------------------------
 
-    # -- cell decomposition ----------------------------------------------------
+    def _num_affine(self, node: int) -> Affine:
+        """Affine form of a numeric cell node, linearizing its conditions.
 
-    def _value_terms(
-        self, node: int
-    ) -> tuple[list[int], list[float], float, list[bool]] | None:
-        """Ordered affine decomposition of a cell node over boolean terms.
-
-        Returns ``(term_nodes, coeffs, tail_const, fresh)`` replicating
-        exactly what tree materialization + ``num_affine`` would produce:
-        boolean terms in child order (TRUE/FALSE contribute their constant
-        at their position), ``coeff·const`` products folded into one
-        trailing constant (the ``add_`` mixed arm moves constants to the
-        end), and ``bool × const`` products collapsed to weighted boolean
-        terms.  ``fresh[i]`` marks product terms whose boolean is an AND:
-        the tree's ``_linearize_product`` wraps those in ``prov.and_()``,
-        which *splices* the conjunction into a brand-new AndExpr, so the
-        tree allocates a fresh uncached aux variable per such term instead
-        of reusing the condition's.  ``None`` means the shape is
-        unsupported (nested ADD/DIV, products of several booleans) and the
-        complaint takes the tree path.
+        Three passes over the node's :meth:`_numeric` shape: collect the
+        boolean leaves in the order the seed's walk linearized them,
+        linearize them in one bulk DFS (:meth:`_linearize_roots`), then
+        accumulate the affine form with the walk's exact floating-point
+        operation order.
         """
-        f = self._f
-        op = int(f.op[node])
-        if op != OP_ADD:
-            if node <= TRUE_NODE or op in (OP_ATOM, OP_NOT, OP_AND, OP_OR):
-                return [node], [1.0], 0.0, [False]
-            if op == OP_CONST:
-                return [], [], float(f.value[node]), []
-            return None
-        start, end = int(f.child_start[node]), int(f.child_end[node])
-        children = f.child[start:end]
-        coeffs = f.coeff[start:end]
-        ops = f.op[children]
-        bool_mask = (
-            (children <= TRUE_NODE)
-            | (ops == OP_ATOM)
-            | (ops == OP_NOT)
-            | (ops == OP_AND)
-            | (ops == OP_OR)
-        )
-        if bool_mask.all():
-            # All-boolean children materialize as one LinearSum: terms in
-            # child order, no trailing constant, conditions linearized
-            # directly (no and_() wrapper).
-            return (
-                children.tolist(),
-                coeffs.tolist(),
-                0.0,
-                [False] * children.shape[0],
-            )
-        # Mixed arm: prov.add_ keeps non-constant terms in order and folds
-        # constants into one ConstNum appended at the end.
-        out_nodes: list[int] = []
-        out_coeffs: list[float] = []
-        out_fresh: list[bool] = []
-        tail = 0.0
-        for child, coeff, is_bool in zip(
-            children.tolist(), coeffs.tolist(), bool_mask.tolist()
-        ):
-            if is_bool:
-                if coeff == 0.0:
-                    continue  # mul_(ConstNum(0), bool) folds to the constant 0
-                out_nodes.append(child)
-                out_coeffs.append(coeff)
-                # coeff ≠ 1 materializes as mul_(ConstNum(coeff), bool) — a
-                # MulExpr whose product walk and_()-wraps an AND condition.
-                out_fresh.append(
-                    coeff != 1.0
-                    and int(f.op[self._rep[child]]) == OP_AND
-                )
-                continue
-            child_op = int(f.op[child])
-            if child_op == OP_CONST:
-                tail = tail + coeff * float(f.value[child])
-                continue
-            if child_op != OP_MUL:
-                return None  # nested ADD/DIV: tree path
-            weight = 1.0
-            bools: list[int] = []
-            for factor in f.child[
-                int(f.child_start[child]) : int(f.child_end[child])
-            ].tolist():
-                factor_op = int(f.op[factor])
-                if factor <= TRUE_NODE:
-                    # TRUE/FALSE factors only arise from raw tree lowering;
-                    # mirror the and_() folds via the tree path instead.
-                    return None
-                if factor_op == OP_CONST:
-                    weight = weight * float(f.value[factor])
-                elif factor_op in (OP_ATOM, OP_NOT, OP_AND, OP_OR):
-                    bools.append(factor)
-                else:
-                    return None
-            if len(bools) > 1:
-                # and_(b1, b2, …) builds a fresh AndExpr per complaint in
-                # the tree walk — no pool node to dedup against.
-                return None
-            scaled = coeff * weight
-            if not bools:
-                tail = tail + scaled
-                continue
-            if scaled == 0.0:
-                continue  # mul_ folds the whole product to the constant 0
-            out_nodes.append(bools[0])
-            out_coeffs.append(scaled)
-            # The term stays a MulExpr — and its product walk and_()-wraps
-            # an AND condition — unless *both* mul_ folds alias it away:
-            # the node's own constants folding to exactly 1.0 and the ADD
-            # coefficient being exactly 1.0.
-            out_fresh.append(
-                not (coeff == 1.0 and weight == 1.0)
-                and int(f.op[self._rep[bools[0]]]) == OP_AND
-            )
-        return out_nodes, out_coeffs, tail, out_fresh
-
-    def _terms_affine(
-        self,
-        nodes: list[int],
-        coeffs: list[float],
-        tail: float,
-        term_z: list[int] | None = None,
-    ) -> Affine:
-        """Accumulate weighted boolean terms into an affine dict.
-
-        Matches the tree walk's sequential ``_affine_add`` loop bit for
-        bit: variables claim dict positions at first occurrence, repeated
-        variables accumulate in term order, and constants accumulate in
-        term order with the folded tail added last.  ``term_z`` carries
-        the per-term fresh aux variables from :meth:`_linearize_roots`
-        (-1 = use the node's canonical affine form).
-        """
-        if not nodes:
-            return {}, tail
-        var, sign, const = self._bool_affine_arrays(
-            self._rep[np.asarray(nodes, dtype=np.int64)]
-        )
-        if term_z is not None:
-            fz = np.asarray(term_z, dtype=np.int64)
-            fresh = fz >= 0
-            var[fresh] = fz[fresh]
+        if self._child_end_l is None:
+            self._child_end_l = self._f.child_end.tolist()
+            self._value_l = self._f.value.tolist()
+        shape = self._numeric(node)
+        leaves: list[int] = []
+        self._collect_leaves(shape, leaves)
+        post_nodes, post_z, leaf_z = self._linearize_roots(leaves)
+        self._emit_link_rows(post_nodes, post_z)
+        nodes = np.asarray(leaves, dtype=np.int64)
+        fresh = nodes >= self._n_nodes
+        var, sign, const = self._bool_affine_arrays(np.where(fresh, FALSE_NODE, nodes))
+        if fresh.any():
+            var[fresh] = np.asarray(leaf_z, dtype=np.int64)[fresh]
             sign[fresh] = 1.0
-            const[fresh] = 0.0
-        affine: dict[int, float] = {}
-        total = 0.0
-        for v, s, k, c in zip(
-            var.tolist(), sign.tolist(), coeffs, const.tolist()
-        ):
-            if v >= 0:
-                affine[v] = affine.get(v, 0.0) + k * s
-            total = total + k * c
-        return affine, total + tail
+        return self._affine(
+            shape, iter(zip(var.tolist(), sign.tolist(), const.tolist()))
+        )
+
+    def _numeric(self, node: int) -> Numeric:
+        """The shape of a numeric node after the seed's constant folds.
+
+        Boolean nodes become ``("bool", rep)``; an ADD whose children are
+        all boolean becomes ``("lin", coeffs, reps)`` (COUNT cells, SUM
+        over deterministic values whose member values folded away, and
+        ``predict()`` values ``Σ_c value(c)·[pred = c]``); other ADDs,
+        MULs and DIVs go through :func:`_add_shape` / :func:`_mul_shape`,
+        which fold constants and flatten nested sums and products.  A
+        weighted ADD child ``coeff ≠ 1`` is the product ``coeff × child``.
+        """
+        memo = self._numeric_memo
+        shape = memo.get(node)
+        if shape is not None:
+            return shape
+        op_l = self._op_l
+        op = op_l[node]
+        if node <= TRUE_NODE or OP_ATOM <= op <= OP_OR:
+            shape = ("bool", self._rep_l[node])
+        elif op == OP_CONST:
+            shape = ("const", self._value_l[node])
+        else:
+            start, end = self._child_start_l[node], self._child_end_l[node]
+            if op == OP_ADD:
+                # COUNT cells have thousands of children: classify in numpy.
+                f = self._f
+                kids = f.child[start:end]
+                kid_ops = f.op[kids]
+                coeffs = f.coeff[start:end].tolist()
+                if np.all((kids <= TRUE_NODE) | ((kid_ops >= OP_ATOM) & (kid_ops <= OP_OR))):
+                    shape = ("lin", coeffs, self._rep[kids].tolist())
+                else:
+                    children = kids.tolist()
+                    shape = self._weighted_sum_shape(coeffs, children)
+                if shape is None:
+                    terms = []
+                    for coeff, child in zip(coeffs, children):
+                        term = self._numeric(child)
+                        if coeff != 1.0:
+                            term = _mul_shape([("const", coeff), term])
+                        terms.append(term)
+                    shape = _add_shape(terms)
+            elif op == OP_MUL:
+                factors = []
+                for child in self._child_l[start:end]:
+                    child_op = op_l[child]
+                    if child <= TRUE_NODE or OP_ATOM <= child_op <= OP_OR:
+                        factors.append(("bool", self._rep_l[child]))
+                    elif child_op == OP_CONST:
+                        factors.append(("const", self._value_l[child]))
+                    else:
+                        factors.append(self._numeric(child))
+                shape = _mul_shape(factors)
+            else:  # OP_DIV
+                numerator, denominator = self._child_l[start:end]
+                shape = ("div", self._numeric(numerator), self._numeric(denominator))
+        memo[node] = shape
+        return shape
+
+    def _weighted_sum_shape(
+        self, coeffs: list[float], children: list[int]
+    ) -> Numeric | None:
+        """A SUM cell over deterministic values as one flat ``"wsum"`` shape.
+
+        Handles unit-weight ADDs whose children are booleans ``b``,
+        products ``MUL(b, w)`` of a boolean and a constant, and constants —
+        the ``cond × value`` members the executor emits for ``SUM(column)``.
+        The shape ``("wsum", nodes, scales, products, tail)`` is the
+        ``"add"`` shape the general path builds, one entry per term instead
+        of one tuple: term ``i`` is ``scales[i] × nodes[i]``, a product
+        (``products[i]``) unless both its constants were exactly 1, and
+        ``tail`` is the trailing folded constant (``None`` when the fold
+        drops it).  The constant folds replicate :func:`_mul_shape` and
+        :func:`_add_shape` for these terms.  Returns ``None`` for any other
+        child, or when the sum folds to a single term.
+        """
+        op_l, rep_l, child_l, value_l = self._op_l, self._rep_l, self._child_l, self._value_l
+        start_l, end_l = self._child_start_l, self._child_end_l
+        nodes: list[int] = []
+        scales: list[float] = []
+        products: list[bool] = []
+        const_total = 0.0
+        for coeff, child in zip(coeffs, children):
+            if coeff != 1.0:
+                return None  # weighted members: the general path folds them
+            op = op_l[child]
+            constant = None
+            if child <= TRUE_NODE or OP_ATOM <= op <= OP_OR:
+                node, scale, product = rep_l[child], 1.0, False
+            elif op == OP_CONST:
+                constant = value_l[child]
+            elif op == OP_MUL and end_l[child] - start_l[child] == 2:
+                first = child_l[start_l[child]]
+                second = child_l[start_l[child] + 1]
+                if first > TRUE_NODE and op_l[first] == OP_CONST:
+                    first, second = second, first
+                if second <= TRUE_NODE or op_l[second] != OP_CONST:
+                    return None
+                if not (first <= TRUE_NODE or OP_ATOM <= op_l[first] <= OP_OR):
+                    return None
+                weight = value_l[second]
+                if weight == 0.0:
+                    constant = 0.0
+                else:
+                    node, scale, product = rep_l[first], weight, weight != 1.0
+            else:
+                return None
+            if constant is not None:
+                const_total += constant
+                continue
+            nodes.append(node)
+            scales.append(scale)
+            products.append(product)
+        tail = const_total if const_total != 0.0 or not nodes else None
+        if len(nodes) + (tail is not None) < 2:
+            return None
+        return ("wsum", nodes, scales, products, tail)
+
+    def _collect_leaves(self, shape: Numeric, leaves: list[int]) -> None:
+        """Append the boolean terms of ``shape`` in linearization order.
+
+        Each leaf is a canonical pool node (its affine form is shared) or a
+        fresh conjunction from :meth:`_conjoin`.  Shapes that have no
+        linear form raise :class:`ILPError`.
+        """
+        kind = shape[0]
+        if kind == "bool":
+            leaves.append(shape[1])
+        elif kind == "lin":
+            leaves.extend(shape[2])
+        elif kind == "wsum":
+            op_l = self._op_l
+            for node, product in zip(shape[1], shape[3]):
+                if product and op_l[node] == OP_AND:
+                    leaves.append(self._conjoin([node]))
+                else:
+                    leaves.append(node)
+        elif kind == "add":
+            for term in shape[1]:
+                if term[0] == "bool":
+                    leaves.append(term[1])
+                else:
+                    self._collect_leaves(term, leaves)
+        elif kind == "mul":
+            parts = shape[2]
+            if isinstance(parts, str):
+                raise ILPError(parts)
+            _constant, bools, linear = parts
+            if linear is None:
+                if bools:
+                    leaves.append(self._conjoin(bools))
+            else:
+                leaves.extend(self._conjoin(bools + [cond]) for cond in linear[2])
+        elif kind == "div":
+            raise ILPError(_RATIO_ERROR)
+
+    def _conjoin(self, nodes: list[int]) -> int:
+        """``and_(*nodes)`` over canonical nodes; new conjunctions are fresh.
+
+        Constants fold and AND operands splice into their effective
+        children.  One surviving operand is returned as is (its aux
+        variable is shared); two or more make a *fresh* conjunction with
+        its own, never-shared aux variable — the seed's walk built a new
+        expression object for each such product term.
+        """
+        flat: list[int] = []
+        for node in nodes:
+            if node == FALSE_NODE:
+                return FALSE_NODE
+            if node == TRUE_NODE:
+                continue
+            if self._op_l[node] == OP_AND:
+                flat.extend(self._eff_child_l[self._eff_start_l[node] : self._eff_end_l[node]])
+            else:
+                flat.append(node)
+        if not flat:
+            return TRUE_NODE
+        if len(flat) == 1:
+            return flat[0]
+        self._fresh_children.append(flat)
+        return self._n_nodes + len(self._fresh_children) - 1
+
+    def _affine(self, shape: Numeric, leaves: Iterator[tuple[int, float, float]]) -> Affine:
+        """Affine form of ``shape``, consuming one ``(var, sign, const)`` per leaf.
+
+        Sums accumulate term by term and products scale their accumulated
+        sum, in the order the seed's walk did, so every coefficient and
+        right-hand side is bit-identical to it.
+        """
+        kind = shape[0]
+        if kind == "const":
+            return {}, shape[1]
+        if kind == "bool":
+            var, sign, const = next(leaves)
+            return ({var: sign} if var >= 0 else {}), const
+        if kind == "lin":
+            return _weighted_sum(shape[1], leaves)
+        if kind == "wsum":
+            # The "add" accumulation below, one boolean leaf per term.
+            coeffs, total = _weighted_sum(shape[2], leaves)
+            if shape[4] is not None:
+                total = total + shape[4]
+            return coeffs, total
+        if kind == "add":
+            # _affine_add at scale 1.0, accumulated in place.  Terms with a
+            # single boolean leaf — ``b`` or ``constant × b`` — merge inline.
+            coeffs: dict[int, float] = {}
+            total = 0.0
+            for term in shape[1]:
+                if term[0] == "bool":
+                    scale = 1.0
+                elif term[0] == "mul" and term[2][2] is None and term[2][1]:
+                    scale = term[2][0]
+                else:
+                    term_coeffs, term_const = self._affine(term, leaves)
+                    for index, coeff in term_coeffs.items():
+                        coeffs[index] = coeffs.get(index, 0.0) + coeff
+                    total = total + term_const
+                    continue
+                var, sign, const = next(leaves)
+                if var >= 0:
+                    coeffs[var] = coeffs.get(var, 0.0) + sign * scale
+                total = total + const * scale
+            return coeffs, total
+        # "mul": bool(s) × at most one LinearSum, scaled by the constants.
+        constant, bools, linear = shape[2]
+        if linear is not None:
+            coeffs, constant_part = _weighted_sum(linear[1], leaves)
+        elif bools:
+            var, sign, constant_part = next(leaves)
+            coeffs = {var: sign} if var >= 0 else {}
+        else:
+            return {}, constant
+        return (
+            {index: coeff * constant for index, coeff in coeffs.items()},
+            constant_part * constant,
+        )
 
     # -- bulk AND/OR linearization ---------------------------------------------
 
     def _linearize_roots(
-        self, roots: Sequence[tuple[int, bool]]
+        self, roots: Sequence[int]
     ) -> tuple[list[int], list[int], list[int]]:
         """DFS over canonical structure; allocates fresh aux vars in preorder.
 
-        ``roots`` pairs each root node with a *fresh* flag (see
-        :meth:`_value_terms`): fresh AND roots always get a brand-new,
-        uncached aux variable — the structural duplicate the tree's
-        ``and_()`` splice would build — while their subtrees still share
-        the cache.  Returns ``(post_nodes, post_z, root_z)``: the
-        postorder list of nodes whose linking rows still need emitting
-        with their aux variables, plus each root's fresh variable (-1 for
-        non-fresh roots).  Nodes already linearized — by an earlier
-        complaint here, or by a tree-path fallback sharing ``_aux_cache``
-        — are reused.
+        ``roots`` are canonical pool nodes or fresh conjunctions (ids past
+        the pool, see :meth:`_conjoin`).  A fresh conjunction always gets a
+        brand-new aux variable while its operands still share the cache.
+        Returns ``(post_nodes, post_z, root_z)``: the postorder list of
+        nodes whose linking rows still need emitting with their aux
+        variables, plus each root's fresh variable (-1 for pool nodes).
+        Nodes an earlier complaint already linearized are reused.
         """
         aux = self._aux_l
-        cache_get = self._aux_cache.get
         op_l = self._op_l
         rep_l = self._rep_l
         eff_start = self._eff_start_l
         eff_end = self._eff_end_l
         eff_child = self._eff_child_l
+        n_nodes = self._n_nodes
         base = self.program.n_vars
         n_alloc = 0
         reused = 0
@@ -754,47 +548,42 @@ class CompiledILPEncoder(TiresiasEncoder):
         post_z: list[int] = []
         root_z: list[int] = [-1] * len(roots)
         # Roots drain one at a time (their subtrees never interleave on
-        # the tree walk's recursion either); within a drain the int stack
-        # holds canonical AND/OR/NOT nodes to visit, or ``~node`` to emit
-        # node's linking rows postorder.  Atom/constant children never
-        # allocate or emit, so they are filtered at push time — the
-        # traversal order over NOT/AND/OR nodes, and hence the aux
-        # variable numbering, matches the recursive walk exactly.
+        # the recursive walk either); within a drain the int stack holds
+        # canonical AND/OR/NOT nodes to visit, or ``~node`` to emit node's
+        # linking rows postorder.  Atom/constant children never allocate
+        # or emit, so they are filtered at push time — the traversal order
+        # over NOT/AND/OR nodes, and hence the aux variable numbering,
+        # matches the recursive walk exactly.
         stack: list[int] = []
-        for pos, (root, fresh) in enumerate(roots):
-            r = rep_l[int(root)]
-            op = op_l[r]
+        for pos, root in enumerate(roots):
+            root = int(root)
             root_emit = -1
-            if fresh and op == OP_AND:
-                # The and_() splice: a brand-new uncached aux variable for
-                # this term, its subtree still shared through the cache.
+            if root >= n_nodes:
                 root_emit = base + n_alloc
                 n_alloc += 1
                 root_z[pos] = root_emit
-            elif op == OP_NOT:
-                inner = rep_l[self._child_l[self._child_start_l[r]]]
-                if op_l[inner] >= OP_NOT:
-                    stack.append(inner)
-            elif op != OP_AND and op != OP_OR:
-                continue
-            elif aux[r] >= 0:
-                reused += 1
-                continue
+                r = root
+                children = self._fresh_children[root - n_nodes]
             else:
-                cached = cache_get(r)
-                if cached is not None:
-                    # A tree-path fallback already linearized this node.
-                    var = next(iter(cached[0]))
-                    aux[r] = var
-                    self._aux_var[r] = var
+                r = rep_l[root]
+                op = op_l[r]
+                if op == OP_NOT:
+                    inner = rep_l[self._child_l[self._child_start_l[r]]]
+                    if op_l[inner] >= OP_NOT:
+                        stack.append(inner)
+                elif op != OP_AND and op != OP_OR:
+                    continue
+                elif aux[r] >= 0:
                     reused += 1
                     continue
-                root_emit = base + n_alloc
-                aux[r] = root_emit
-                n_alloc += 1
-                fresh_cached.append(r)
+                else:
+                    root_emit = base + n_alloc
+                    aux[r] = root_emit
+                    n_alloc += 1
+                    fresh_cached.append(r)
+                    children = eff_child[eff_start[r] : eff_end[r]]
             if root_emit >= 0:
-                for child in reversed(eff_child[eff_start[r] : eff_end[r]]):
+                for child in reversed(children):
                     if op_l[child] >= OP_NOT:
                         stack.append(child)
             while stack:
@@ -811,13 +600,6 @@ class CompiledILPEncoder(TiresiasEncoder):
                         stack.append(inner)
                     continue
                 if aux[node] >= 0:
-                    reused += 1
-                    continue
-                cached = cache_get(node)
-                if cached is not None:
-                    var = next(iter(cached[0]))
-                    aux[node] = var
-                    self._aux_var[node] = var
                     reused += 1
                     continue
                 z = base + n_alloc
@@ -837,10 +619,9 @@ class CompiledILPEncoder(TiresiasEncoder):
             self.program.add_var_block(n_alloc, prefix="aux")
             self.aux_created += n_alloc
             if fresh_cached:
-                vals = [aux[r] for r in fresh_cached]
-                self._aux_var[np.asarray(fresh_cached, dtype=np.int64)] = vals
-                for r, var in zip(fresh_cached, vals):
-                    self._aux_cache[r] = ({var: 1.0}, 0.0)
+                self._aux_var[np.asarray(fresh_cached, dtype=np.int64)] = [
+                    aux[r] for r in fresh_cached
+                ]
         return post_nodes, post_z, root_z
 
     def _emit_link_rows(self, post: list[int], post_z: list[int]) -> None:
@@ -849,18 +630,33 @@ class CompiledILPEncoder(TiresiasEncoder):
         Per node: k child rows (``z ≤/≥ child_i``) then the sum row
         (``z ≥/≤ Σ child_i …``), coefficients laid out z-first then
         children in child order — exactly the rows and dict orders the
-        recursive walk emits one at a time.
+        recursive walk emits one at a time.  Fresh conjunctions are ANDs
+        over their recorded operands.
         """
         if not post:
             return
         f = self._f
         nodes = np.asarray(post, dtype=np.int64)
         z = np.asarray(post_z, dtype=np.int64)
-        is_and = f.op[nodes] == OP_AND
-        k = self._eff_end[nodes] - self._eff_start[nodes]
-        flat_children = self._eff_child[
-            _flat_ranges(self._eff_start[nodes], self._eff_end[nodes])
-        ]
+        fresh = nodes >= self._n_nodes
+        if fresh.any():
+            operands = [
+                self._fresh_children[node - self._n_nodes]
+                if node >= self._n_nodes
+                else self._eff_child_l[self._eff_start_l[node] : self._eff_end_l[node]]
+                for node in post
+            ]
+            k = np.asarray([len(ops) for ops in operands], dtype=np.int64)
+            flat_children = np.asarray(
+                [child for ops in operands for child in ops], dtype=np.int64
+            )
+            is_and = fresh | (f.op[np.where(fresh, FALSE_NODE, nodes)] == OP_AND)
+        else:
+            k = self._eff_end[nodes] - self._eff_start[nodes]
+            flat_children = self._eff_child[
+                _flat_ranges(self._eff_start[nodes], self._eff_end[nodes])
+            ]
+            is_and = f.op[nodes] == OP_AND
         n_nodes = nodes.shape[0]
         seg_id = np.repeat(np.arange(n_nodes, dtype=np.int64), k)
         cvar, csign, cconst = self._bool_affine_arrays(flat_children)
@@ -883,6 +679,9 @@ class CompiledILPEncoder(TiresiasEncoder):
             keep[first_pos] = True
             sum_coeff = sum_coeff.copy()
             sum_coeff[first_pos] = acc
+            # A literal and its negation cancel (x ∧ ¬x); like any row
+            # built by add_constraint, the sum row drops the zero.
+            keep &= sum_coeff != 0.0
         k_sum = np.bincount(seg_id[keep], minlength=n_nodes).astype(np.int64)
         rows_per_node = k + 1
         row_end = np.cumsum(rows_per_node)
@@ -979,3 +778,134 @@ class CompiledILPEncoder(TiresiasEncoder):
                 "unknown site/class"
             )
         return var
+
+    # -- reading back solutions -------------------------------------------------------------
+
+    def solution_targets(self, solution: ILPSolution) -> dict[int, object]:
+        """``site_id -> target label`` from an integral solution."""
+        targets: dict[int, object] = {}
+        for site_id in self.site_ids:
+            chosen = [
+                label
+                for label in self.classes_by_site[site_id]
+                if solution.values[self.y_vars[(site_id, label)]] > 0.5
+            ]
+            if len(chosen) != 1:
+                raise ILPError(
+                    f"site {site_id} has {len(chosen)} selected classes; "
+                    "the solution is not a valid labelling"
+                )
+            targets[site_id] = chosen[0]
+        return targets
+
+    def marked_mispredictions(
+        self, solution: ILPSolution
+    ) -> list[tuple[int, object]]:
+        """Sites whose target label differs from the current prediction."""
+        targets = self.solution_targets(solution)
+        return [
+            (site_id, label)
+            for site_id, label in targets.items()
+            if label != self.current_labels[site_id]
+        ]
+
+    def changed_count(self, solution: ILPSolution) -> int:
+        return len(self.marked_mispredictions(solution))
+
+
+# -- numeric shapes -----------------------------------------------------------------
+
+
+def _add_shape(terms: list[Numeric]) -> Numeric:
+    """A sum with constants folded into one trailing constant, sums flattened."""
+    const_total = 0.0
+    rest: list[Numeric] = []
+    for term in terms:
+        if term[0] == "const":
+            const_total += term[1]
+        elif term[0] == "add":
+            rest.extend(term[1])
+        elif term[0] == "wsum":
+            rest.extend(_wsum_terms(term))
+        else:
+            rest.append(term)
+    if const_total != 0.0 or not rest:
+        rest.append(("const", const_total))
+    if len(rest) == 1:
+        return rest[0]
+    return ("add", rest)
+
+
+def _wsum_terms(shape: Numeric) -> list[Numeric]:
+    """The ``"add"`` terms a ``"wsum"`` shape stands for."""
+    _kind, nodes, scales, products, tail = shape
+    terms: list[Numeric] = [
+        ("mul", [("const", scale), ("bool", node)], (scale, [node], None))
+        if product
+        else ("bool", node)
+        for node, scale, product in zip(nodes, scales, products)
+    ]
+    if tail is not None:
+        terms.append(("const", tail))
+    return terms
+
+
+def _mul_shape(factors: list[Numeric]) -> Numeric:
+    """A product with constants folded into one leading constant, products flattened.
+
+    The shape carries its :func:`_product_parts` as a third element.
+    """
+    const_total = 1.0
+    rest: list[Numeric] = []
+    for factor in factors:
+        if factor[0] == "const":
+            const_total *= factor[1]
+        elif factor[0] == "mul":
+            rest.extend(factor[1])
+        else:
+            rest.append(factor)
+    if const_total == 0.0:
+        return ("const", 0.0)
+    if const_total != 1.0 or not rest:
+        rest.insert(0, ("const", const_total))
+    if len(rest) == 1:
+        return rest[0]
+    return ("mul", rest, _product_parts(rest))
+
+
+def _product_parts(factors: list[Numeric]) -> tuple | str:
+    """``(constant, bool nodes, LinearSum or None)`` of a product, or why not.
+
+    Only ``bool(s) × at most one LinearSum`` is linear in the 0-1
+    variables (the sum distributes over the conjunction); any other
+    product is described by the error message the linearization raises.
+    """
+    constant = 1.0
+    bools: list[int] = []
+    sums: list[Numeric] = []
+    for factor in factors:
+        kind = factor[0]
+        if kind == "const":
+            constant *= factor[1]
+        elif kind == "bool":
+            bools.append(factor[1])
+        elif kind == "lin":
+            sums.append(factor)
+        else:
+            return f"product over {_SHAPE_NAMES[kind]} is not linearizable"
+    if len(sums) > 1:
+        return "products of two non-boolean sums are not linearizable"
+    return constant, bools, (sums[0] if sums else None)
+
+
+def _weighted_sum(
+    coeffs: Sequence[float], leaves: Iterator[tuple[int, float, float]]
+) -> Affine:
+    """``Σ coeff·leaf`` accumulated term by term (variables keep first-seen order)."""
+    affine: dict[int, float] = {}
+    total = 0.0
+    for coeff, (var, sign, const) in zip(coeffs, leaves):
+        if var >= 0:
+            affine[var] = affine.get(var, 0.0) + coeff * sign
+        total = total + coeff * const
+    return affine, total

@@ -1,10 +1,8 @@
-"""Tensorized provenance: compile Bool/Num polynomials into flat arrays.
+"""Tensorized provenance: boolean and aggregate polynomials as flat arrays.
 
-The interpreted provenance of :mod:`repro.relational.provenance` represents
-every existence condition and aggregate polynomial as a Python object tree
-and evaluates it by recursion — one Python call per operator per tuple.
-This module is the *compiled* counterpart: provenance is lowered into a
-:class:`NodePool`, a flat columnar store of expression nodes
+Debug-mode provenance — every existence condition and aggregate polynomial
+over prediction atoms — lives in a :class:`NodePool`, a flat columnar store
+of expression nodes
 
 - ``op``        — one small-int opcode per node,
 - ``children``  — a CSR layout (``child_start``/``child_end`` into one flat
@@ -32,10 +30,10 @@ Three evaluation modes share the same tape:
 
 The executor writes nodes directly in compiled form (one bulk constructor
 call per operator per batch — see :meth:`NodePool.atoms`,
-:meth:`NodePool.and2`, :meth:`NodePool.or_segments`), and any compiled node
-can be materialized back into an equivalent expression tree with
-:func:`NodePool.to_expr` for consumers that still walk trees (the ILP
-encoder, complaint replay).
+:meth:`NodePool.and2`, :meth:`NodePool.or_segments`).  Every consumer reads
+the arrays: complaint checks evaluate node ids, the Holistic objective
+relaxes them, and the TwoStep encoder linearizes them.  The row-at-a-time
+object trees the arrays replace survive only as test oracles.
 
 Worked example — ``COUNT(*) WHERE predict(x) = 'match'`` over three rows::
 
@@ -56,7 +54,6 @@ import numpy as np
 
 from ..errors import ProvenanceError, RelaxationError
 from ..utils import grow_array
-from . import provenance as prov
 
 # Opcodes.  FALSE/TRUE are the two reserved constant nodes 0 and 1.
 OP_CONST = 0  # numeric constant; payload = value
@@ -70,8 +67,6 @@ OP_DIV = 7  # child₀ / child₁               (numeric; AVG cells)
 
 FALSE_NODE = 0
 TRUE_NODE = 1
-
-_BOOL_OPS = frozenset((OP_ATOM, OP_NOT, OP_AND, OP_OR))
 
 
 class NodePool:
@@ -91,20 +86,14 @@ class NodePool:
         self._child_end: list[int] = []
         self._child: list[int] = []
         self._coeff: list[float] = []
-        self._is_bool: list[bool] = []
         self.labels: list[object] = []
         self._label_ids: dict[object, int] = {}
         # label_id -> dense site-indexed table of atom node ids (-1 = none).
         self._atom_tables: dict[int, np.ndarray] = {}
-        self._expr_cache: dict[int, object] = {}
-        # id(materialized expr) -> node id; the reverse of _expr_cache,
-        # registered first-come so aliased nodes map to their canonical
-        # representative (see node_for_expr).
-        self._expr_nodes: dict[int, int] = {}
         self._frozen: _FrozenPool | None = None
         # FALSE and TRUE constants.
-        self._append_scalar(OP_CONST, value=0.0, is_bool=True)
-        self._append_scalar(OP_CONST, value=1.0, is_bool=True)
+        self._append_scalar(OP_CONST, value=0.0)
+        self._append_scalar(OP_CONST, value=1.0)
 
     # -- low-level append ----------------------------------------------------
 
@@ -119,7 +108,6 @@ class NodePool:
         label: int = -1,
         children: Sequence[int] = (),
         coeffs: Sequence[float] | None = None,
-        is_bool: bool = False,
     ) -> int:
         index = len(self._op)
         self._op.append(op)
@@ -133,7 +121,6 @@ class NodePool:
         else:
             self._coeff.extend(float(c) for c in coeffs)
         self._child_end.append(len(self._child))
-        self._is_bool.append(bool(is_bool))
         self._frozen = None
         return index
 
@@ -144,7 +131,6 @@ class NodePool:
         child_flat: np.ndarray,
         offsets: np.ndarray,
         coeffs: np.ndarray | None = None,
-        is_bool: bool = False,
     ) -> np.ndarray:
         """Append ``n`` nodes of one op; returns their indices."""
         if n == 0:
@@ -162,7 +148,6 @@ class NodePool:
             self._coeff.extend([1.0] * len(child_flat))
         else:
             self._coeff.extend(np.asarray(coeffs, dtype=np.float64).tolist())
-        self._is_bool.extend([is_bool] * n)
         self._frozen = None
         return np.arange(first, first + n, dtype=np.int64)
 
@@ -197,9 +182,7 @@ class NodePool:
         table = self._atom_table(label_id, site_id + 1)
         node = int(table[site_id])
         if node < 0:
-            node = self._append_scalar(
-                OP_ATOM, site=site_id, label=label_id, is_bool=True
-            )
+            node = self._append_scalar(OP_ATOM, site=site_id, label=label_id)
             table[site_id] = node
         return node
 
@@ -227,7 +210,6 @@ class NodePool:
                 start = len(self._child)
                 self._child_start.extend([start] * n_fresh)
                 self._child_end.extend([start] * n_fresh)
-                self._is_bool.extend([True] * n_fresh)
                 self._frozen = None
                 table[new_sites] = np.arange(first, first + n_fresh, dtype=np.int64)
                 nodes = table[sites]
@@ -252,7 +234,6 @@ class NodePool:
         start = len(self._child)
         self._child_start.extend([start] * n)
         self._child_end.extend([start] * n)
-        self._is_bool.extend([False] * n)
         self._frozen = None
         return np.arange(first, first + n, dtype=np.int64)
 
@@ -278,9 +259,7 @@ class NodePool:
             child_flat[0::2] = a[fresh]
             child_flat[1::2] = b[fresh]
             offsets = np.arange(n_fresh + 1, dtype=np.int64) * 2
-            out[fresh] = self._append_bulk(
-                OP_AND, n_fresh, child_flat, offsets, is_bool=True
-            )
+            out[fresh] = self._append_bulk(OP_AND, n_fresh, child_flat, offsets)
         return out
 
     def not_(self, nodes: np.ndarray) -> np.ndarray:
@@ -302,9 +281,7 @@ class NodePool:
         n_fresh = int(np.count_nonzero(fresh))
         if n_fresh:
             offsets = np.arange(n_fresh + 1, dtype=np.int64)
-            out[fresh] = self._append_bulk(
-                OP_NOT, n_fresh, nodes[fresh], offsets, is_bool=True
-            )
+            out[fresh] = self._append_bulk(OP_NOT, n_fresh, nodes[fresh], offsets)
         return out
 
     def _nary_bool(
@@ -351,9 +328,7 @@ class NodePool:
             new_offsets = np.concatenate(
                 [[0], np.cumsum(new_counts)]
             ).astype(np.int64)
-            out[multi] = self._append_bulk(
-                op, n_multi, new_flat, new_offsets, is_bool=True
-            )
+            out[multi] = self._append_bulk(op, n_multi, new_flat, new_offsets)
         return out
 
     def or_segments(self, child_flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -443,153 +418,6 @@ class NodePool:
         offsets = np.arange(n + 1, dtype=np.int64) * 2
         return self._append_bulk(OP_DIV, n, child_flat, offsets)
 
-    def linear_sum(self, terms: Sequence[tuple[float, int]]) -> int:
-        """A single ``Σ coeff·cond`` node from (coeff, node) pairs."""
-        children = [node for _, node in terms]
-        coeffs = [coeff for coeff, _ in terms]
-        if not children:
-            return self._append_scalar(OP_CONST, value=0.0)
-        return self._append_scalar(OP_ADD, children=children, coeffs=coeffs)
-
-    # -- materializing compiled nodes back into trees --------------------------------------
-
-    def to_expr(self, node: int) -> prov.BoolExpr | prov.NumExpr:
-        """Materialize a compiled node as an equivalent expression tree.
-
-        The result is value-equivalent (and relaxation-equivalent) to the
-        compiled node; structural normalizations applied during compilation
-        (constant folding, identity elision) are not undone.  Materialized
-        trees are cached per node, so repeated calls — and shared
-        subexpressions across calls — return the *same* objects, exactly as
-        the tree-building path shares DAG nodes.
-        """
-        memo = self._expr_cache
-        stack: list[tuple[int, bool]] = [(int(node), False)]
-        while stack:
-            current, processed = stack.pop()
-            if current in memo:
-                continue
-            start, end = self._child_start[current], self._child_end[current]
-            children = self._child[start:end]
-            if not processed:
-                stack.append((current, True))
-                stack.extend((child, False) for child in children if child not in memo)
-                continue
-            obj = self._materialize_one(current, children, memo)
-            memo[current] = obj
-            # First-come registration: constant folding can alias several
-            # nodes to one shared object, and the lowest-index node — the
-            # first to materialize — is the canonical representative.
-            # repro: ignore[DET001] — sound: _expr_cache holds a strong
-            # reference to every materialized expr for the pool's lifetime,
-            # so an id in _expr_nodes can never be recycled while keyed.
-            self._expr_nodes.setdefault(id(obj), current)
-        return memo[int(node)]
-
-    def to_exprs(self, nodes: Sequence[int]) -> list:
-        return [self.to_expr(node) for node in nodes]
-
-    def node_for_expr(self, expr) -> int | None:
-        """The canonical pool node a materialized tree came from, if any.
-
-        Only trees produced by :meth:`to_expr` (and their subtrees) are
-        known; anything else returns ``None``.  Because registration is
-        first-come, every expression object maps to the lowest-index node
-        that materializes to it, giving a stable structural key shared by
-        all aliases — the ILP encoder uses this to dedup aux variables
-        across complaints.
-        """
-        # repro: ignore[DET001] — see to_expr: ids pinned by _expr_cache.
-        return self._expr_nodes.get(id(expr))
-
-    def _materialize_one(self, node: int, children: list[int], memo: dict):
-        op = self._op[node]
-        if node == FALSE_NODE:
-            return prov.FALSE
-        if node == TRUE_NODE:
-            return prov.TRUE
-        if op == OP_CONST:
-            return prov.ConstNum(self._value[node])
-        if op == OP_ATOM:
-            return prov.PredIs(self._site[node], self.labels[self._label[node]])
-        kids = [memo[child] for child in children]
-        if op == OP_NOT:
-            return prov.not_(kids[0])
-        if op == OP_AND:
-            return prov.and_(*kids)
-        if op == OP_OR:
-            return prov.or_(*kids)
-        if op == OP_MUL:
-            return prov.mul_(*[_as_num(kid) for kid in kids])
-        if op == OP_DIV:
-            return prov.DivExpr(_as_num(kids[0]), _as_num(kids[1]))
-        if op == OP_ADD:
-            start = self._child_start[node]
-            coeffs = self._coeff[start : self._child_end[node]]
-            if all(isinstance(kid, prov.BoolExpr) for kid in kids):
-                return prov.LinearSum(list(zip(coeffs, kids)))
-            terms = []
-            for coeff, kid in zip(coeffs, kids):
-                value = _as_num(kid)
-                if coeff != 1.0:
-                    value = prov.mul_(prov.ConstNum(coeff), value)
-                terms.append(value)
-            return prov.add_(*terms)
-        raise ProvenanceError(f"unknown opcode {op}")
-
-    def is_bool_node(self, node: int) -> bool:
-        return self._is_bool[int(node)]
-
-    def linear_frontier_terms(
-        self, node: int
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Decompose a ``Σ coeff·bool`` node into its non-linear frontier.
-
-        Returns ``(coeffs, child_nodes)`` when ``node`` is an ADD whose
-        children are all boolean — atoms, TRUE/FALSE, or compound AND/OR/NOT
-        conditions (the shape of COUNT cells and of SUM cells whose member
-        values folded away).  The children are the *frontier*: everything
-        above them is affine, everything below needs linearization.  Returns
-        ``None`` for non-ADD nodes or ADDs with numeric children.
-        """
-        node = int(node)
-        if self._op[node] != OP_ADD:
-            return None
-        start, end = self._child_start[node], self._child_end[node]
-        children = self._child[start:end]
-        is_bool = self._is_bool
-        if any(not is_bool[child] for child in children):
-            return None
-        coeffs = np.asarray(self._coeff[start:end], dtype=np.float64)
-        return coeffs, np.asarray(children, dtype=np.int64)
-
-    def linear_atom_terms(
-        self, node: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Decompose a ``Σ coeff·atom`` node into flat term arrays.
-
-        Returns ``(coeffs, site_ids, label_ids)`` when ``node`` is an ADD
-        whose children are all prediction atoms — the shape of COUNT/SUM
-        cells — and ``None`` otherwise.  Consumers (the ILP encoder) can
-        then build affine forms without materializing trees.
-        """
-        frontier = self.linear_frontier_terms(node)
-        if frontier is None:
-            return None
-        coeffs, children = frontier
-        op_list = self._op
-        if children.size == 0 or any(
-            op_list[child] != OP_ATOM for child in children.tolist()
-        ):
-            return None
-        sites = np.asarray(
-            [self._site[child] for child in children.tolist()], dtype=np.int64
-        )
-        labels = np.asarray(
-            [self._label[child] for child in children.tolist()], dtype=np.int64
-        )
-        return coeffs, sites, labels
-
     # -- frozen view ----------------------------------------------------------------------
 
     def frozen(self) -> "_FrozenPool":
@@ -597,10 +425,6 @@ class NodePool:
         if self._frozen is None:
             self._frozen = _FrozenPool(self)
         return self._frozen
-
-
-def _as_num(expr):
-    return prov.BoolAsNum(expr) if isinstance(expr, prov.BoolExpr) else expr
 
 
 class _FrozenPool:
@@ -661,13 +485,13 @@ class _FrozenPool:
     def bool_structure(self) -> "BoolStructure":
         """Canonicalized boolean structure of the pool (cached per freeze).
 
-        :meth:`NodePool.to_expr` does not replay the raw CSR verbatim — its
-        ``prov.and_``/``or_``/``not_`` constructors fold constants, elide
-        single-child operators, splice same-op children, and collapse double
-        negation.  The ILP encoder must see exactly that *effective*
-        structure to stay bit-identical with the tree walk, so this pass
-        mirrors the folds bottom-up over the node arrays (index order is a
-        valid level order — children strictly precede parents):
+        The TwoStep encoder linearizes the *effective* boolean structure,
+        not the raw CSR: constants fold, single-child operators elide,
+        same-op children splice, and double negations collapse, exactly as
+        the tree constructors ``and_``/``or_``/``not_`` of the seed's
+        expression trees did (the ILP programs are pinned to theirs).  This
+        pass applies the folds bottom-up over the node arrays (index order
+        is a valid level order — children strictly precede parents):
 
         - ``rep[i]`` is the canonical node ``i`` aliases to after folding
           (``rep[i] == i`` for canonical nodes);

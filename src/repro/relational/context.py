@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import QueryError, SchemaError
 from ..utils import grow_array
 from .compile import NodePool, TRUE_NODE
-from .provenance import TRUE, BoolExpr, SiteRegistry
+from .provenance import SiteRegistry
 from .schema import Database
 
 
@@ -217,8 +217,6 @@ class TupleBatch:
         alias_row_ids: alias -> int64 array of base row ids (one per tuple).
         cond_nodes: per-tuple condition node ids into ``pool`` (debug
             mode), or ``None``.
-        conditions: the condition trees materialized from ``cond_nodes``
-            on first access, or ``None`` outside debug mode.
     """
 
     def __init__(
@@ -240,7 +238,6 @@ class TupleBatch:
         if len(lengths) > 1:
             raise SchemaError(f"inconsistent batch column lengths: {lengths}")
         self._n_rows = lengths.pop() if lengths else 0
-        self._conditions: list[BoolExpr] | None = None
         if cond_nodes is not None:
             cond_nodes = np.asarray(cond_nodes, dtype=np.int64)
             if cond_nodes.shape[0] != self._n_rows:
@@ -254,12 +251,6 @@ class TupleBatch:
 
     def __len__(self) -> int:
         return self._n_rows
-
-    @property
-    def conditions(self) -> list[BoolExpr] | None:
-        if self._conditions is None and self.cond_nodes is not None:
-            self._conditions = self.pool.to_exprs(self.cond_nodes)
-        return self._conditions
 
     @property
     def column_names(self) -> list[str]:
@@ -312,11 +303,6 @@ class TupleBatch:
             cond_nodes=cond_nodes,
             pool=self.pool,
         )
-
-    def condition(self, index: int) -> BoolExpr:
-        if self.cond_nodes is None:
-            return TRUE
-        return self.pool.to_expr(int(self.cond_nodes[index]))
 
     @classmethod
     def from_relation(

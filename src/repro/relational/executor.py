@@ -12,10 +12,9 @@ both TwoStep's ILP and Holistic's relaxation must see them.
 Conditions and polynomials are emitted directly as node ids into the
 runtime's shared :class:`~repro.relational.compile.NodePool`; selects,
 projections, aggregations, and the hash-join probe are columnar batch
-operations.  Consumers that want trees still get them — ``QueryResult``
-and ``GroupInfo`` materialize expression trees from the pool lazily.  A
-row-at-a-time tree builder is kept outside the library as the test
-oracle these arrays are pinned to.
+operations.  ``QueryResult`` and ``GroupInfo`` address lineage by node
+id only.  A row-at-a-time tree builder is kept outside the library as
+the test oracle these arrays are pinned to.
 
 The concrete query result is recovered by one vectorized evaluation of
 every condition / cell polynomial under the current prediction assignment
@@ -28,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ProvenanceError, QueryError
-from . import provenance as prov
 from .algebra import (
     Aggregate,
     Filter,
@@ -47,41 +45,22 @@ from .schema import Database, Relation
 class GroupInfo:
     """Debug metadata for one (possibly not-currently-existing) group.
 
-    With ``condition_node``/``cell_nodes`` set, ``condition``/``cell_polys``
-    materialize expression trees from the pool lazily.
+    ``condition_node`` is the group's existence condition and
+    ``cell_nodes`` maps each aggregate output column to its cell node,
+    all node ids into ``pool``.
     """
 
     def __init__(
         self,
         key: tuple,
-        condition: prov.BoolExpr | None = None,
-        cell_polys: dict | None = None,
         condition_node: int | None = None,
         cell_nodes: dict | None = None,
         pool: NodePool | None = None,
     ) -> None:
         self.key = key
-        self._condition = condition
-        if cell_polys is None and condition_node is None:
-            cell_polys = {}
-        self._cell_polys = cell_polys
         self.condition_node = condition_node
         self.cell_nodes = cell_nodes
         self.pool = pool
-
-    @property
-    def condition(self) -> prov.BoolExpr:
-        if self._condition is None and self.condition_node is not None:
-            self._condition = self.pool.to_expr(self.condition_node)
-        return self._condition
-
-    @property
-    def cell_polys(self) -> dict:
-        if self._cell_polys is None:
-            self._cell_polys = {
-                name: self.pool.to_expr(node) for name, node in self.cell_nodes.items()
-            }
-        return self._cell_polys
 
     def __repr__(self) -> str:
         return f"GroupInfo(key={self.key!r})"
@@ -95,8 +74,6 @@ class QueryResult:
         runtime: execution state (models, sites, prediction cache).
         candidate_batch: all symbolically-alive tuples (pre-aggregation
             output for SP/SPJ queries); ``None`` outside debug mode.
-        candidate_conditions: existence condition trees, aligned with
-            ``candidate_batch`` (materialized lazily from the node ids).
         candidate_cond_nodes: condition node ids, aligned with
             ``candidate_batch``.
         output_to_candidate: for SP/SPJ queries, index of each concrete
@@ -113,7 +90,6 @@ class QueryResult:
         relation: Relation,
         runtime: QueryRuntime,
         candidate_batch: TupleBatch | None = None,
-        candidate_conditions: list[prov.BoolExpr] | None = None,
         output_to_candidate: list[int] | None = None,
         groups: list[GroupInfo] | None = None,
         output_to_group: list[int] | None = None,
@@ -124,7 +100,6 @@ class QueryResult:
         self.relation = relation
         self.runtime = runtime
         self.candidate_batch = candidate_batch
-        self._candidate_conditions = candidate_conditions
         self.candidate_cond_nodes = candidate_cond_nodes
         self.output_to_candidate = output_to_candidate
         self.groups = groups
@@ -135,16 +110,6 @@ class QueryResult:
     @property
     def debug(self) -> bool:
         return self.runtime.debug
-
-    @property
-    def compiled(self) -> bool:
-        return self.pool is not None
-
-    @property
-    def candidate_conditions(self) -> list[prov.BoolExpr] | None:
-        if self._candidate_conditions is None and self.candidate_cond_nodes is not None:
-            self._candidate_conditions = self.pool.to_exprs(self.candidate_cond_nodes)
-        return self._candidate_conditions
 
     def assignment(self) -> dict[int, object]:
         """Current ``site_id -> predicted class`` assignment."""
@@ -160,8 +125,8 @@ class QueryResult:
         return float(self.relation.column(name)[0])
 
     @staticmethod
-    def _cell_lookup(group: GroupInfo, column: str, compiled: bool):
-        cells = group.cell_nodes if compiled else group.cell_polys
+    def _cell_lookup(group: GroupInfo, column: str) -> int:
+        cells = group.cell_nodes
         if cells is None:
             raise ProvenanceError("cell nodes are only available in compiled mode")
         try:
@@ -172,13 +137,9 @@ class QueryResult:
                 f"available: {sorted(cells)}"
             ) from None
 
-    def cell_polynomial(self, row_index: int, column: str) -> prov.NumExpr:
-        """Aggregate provenance polynomial for an output cell."""
-        return self._cell_lookup(self._output_group(row_index), column, compiled=False)
-
     def cell_node(self, row_index: int, column: str) -> int:
         """Compiled node id of an aggregate output cell."""
-        return self._cell_lookup(self._output_group(row_index), column, compiled=True)
+        return self._cell_lookup(self._output_group(row_index), column)
 
     def cell_node_for(
         self,
@@ -188,9 +149,7 @@ class QueryResult:
     ) -> int:
         """Compiled cell node addressed by output row or group key."""
         if group_key is not None:
-            return self._cell_lookup(
-                self.group_by_key(group_key), column, compiled=True
-            )
+            return self._cell_lookup(self.group_by_key(group_key), column)
         return self.cell_node(row_index, column)
 
     def _output_group(self, row_index: int) -> GroupInfo:
@@ -208,27 +167,6 @@ class QueryResult:
             if group.key == key:
                 return group
         raise ProvenanceError(f"no candidate group with key {key!r}")
-
-    def group_polynomial_by_key(self, key: tuple, column: str) -> prov.NumExpr:
-        """Aggregate polynomial looked up by group key (works for currently
-        empty groups, which have no output row)."""
-        return self.group_by_key(key).cell_polys[column]
-
-    def tuple_condition(self, row_index: int) -> prov.BoolExpr:
-        """Existence condition of a concrete output tuple (SP/SPJ queries)."""
-        self._require_debug()
-        if self.is_aggregate:
-            if self.groups is None or self.output_to_group is None:
-                raise ProvenanceError("missing group metadata")
-            return self.groups[self.output_to_group[row_index]].condition
-        if self.output_to_candidate is None:
-            raise ProvenanceError("missing candidate metadata")
-        candidate = self.output_to_candidate[row_index]
-        if self.candidate_cond_nodes is not None:
-            return self.pool.to_expr(int(self.candidate_cond_nodes[candidate]))
-        if self._candidate_conditions is None:
-            raise ProvenanceError("missing candidate metadata")
-        return self._candidate_conditions[candidate]
 
     def tuple_condition_node(self, row_index: int) -> int:
         """Compiled node id of a concrete output tuple's condition."""

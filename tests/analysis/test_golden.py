@@ -170,7 +170,7 @@ class TestShippedManifest:
         from repro.analysis.golden import DEFAULT_MANIFEST
 
         labels = {entry.label for entry in load_manifest(DEFAULT_MANIFEST)}
-        assert "repro.ilp.encode:TiresiasEncoder" in labels
+        assert "tests.oracles.tree_encoder:TreeEncoder" in labels
         assert "tests.oracles.lp_linprog:_lp_relaxation" in labels
         assert (
             "tests.oracles.relaxed_objective:InterpretedObjective._q_interpreted"

@@ -12,7 +12,11 @@ from repro.complaints import (
 )
 from repro.errors import ComplaintError
 from repro.relational import Executor, plan_sql
-from tests.oracles.tree_provenance import all_satisfied_tree as all_satisfied
+from tests.oracles.tree_lineage import (
+    all_satisfied_tree as all_satisfied,
+    tree_current_value,
+    tree_is_satisfied,
+)
 
 
 @pytest.fixture()
@@ -67,10 +71,12 @@ class TestValueComplaint:
     def test_group_key_reaches_empty_groups(self, group_result):
         # Both classes have candidate groups even if one is empty right now.
         for label in (0, 1):
-            poly = ValueComplaint(
+            complaint = ValueComplaint(
                 column="count", op="=", value=0, group_key=(label,)
-            ).polynomial(group_result)
-            assert poly is not None
+            )
+            assert complaint.current_value(group_result) == tree_current_value(
+                complaint, group_result
+            )
 
 
 class TestTupleComplaint:
@@ -94,7 +100,7 @@ class TestTupleComplaint:
 
     def test_missing_group_key_raises(self, group_result):
         with pytest.raises(ComplaintError, match="no group"):
-            TupleComplaint(group_key=("nope",)).condition(group_result)
+            TupleComplaint(group_key=("nope",)).is_satisfied(group_result)
 
 
 class TestPredictionComplaint:
@@ -134,16 +140,26 @@ class TestComplaintCase:
 
 
 class TestColumnarSatisfied:
-    """``all_satisfied_columnar`` agrees with the tree-walk oracle.
+    """``all_satisfied_columnar`` and ``is_satisfied`` agree with the tree walk.
 
     The Rain loop's drain evaluates complaint satisfaction with one
-    vectorized compiled forward per result instead of the tree walk;
-    every complaint shape must produce the same flag.
+    vectorized compiled forward per result, and each complaint's
+    ``is_satisfied`` evaluates its node id; every complaint shape must
+    produce the tree walk's flag.
     """
 
     def _agree(self, case_results) -> bool:
         tree = all_satisfied(case_results)
         assert all_satisfied_columnar(case_results) == tree
+        for case, result in case_results:
+            for complaint in case.complaints:
+                assert complaint.is_satisfied(result) == tree_is_satisfied(
+                    complaint, result
+                )
+                if isinstance(complaint, ValueComplaint):
+                    assert complaint.current_value(result) == tree_current_value(
+                        complaint, result
+                    )
         return tree
 
     def test_value_complaints_all_ops(self, count_result):

@@ -12,6 +12,7 @@ from repro.core.rankers import (
     TwoStepRanker,
 )
 from repro.errors import DebuggingError
+from repro.ilp import solver
 from repro.experiments.common import build_dblp_setting
 from repro.experiments.serving import build_serving_setting
 from repro.ml import LogisticRegression
@@ -184,6 +185,30 @@ class TestLoop:
         )
         debugger = RainDebugger(db, "m", X, y, [point_case], method="auto", rng=0)
         assert debugger.choose_method() == "twostep"
+
+    @pytest.mark.parametrize("complaint", ["count", "point"])
+    def test_auto_pick_ignores_the_wall_clock(self, debug_setting, monkeypatch, complaint):
+        """On a slow machine ``auto`` picks the same method: the uniqueness
+        probe is budgeted in branch & bound nodes, never in seconds."""
+        db, model, X, y, corrupted, case = debug_setting
+        if complaint == "point":
+            case = ComplaintCase(case.query, [PredictionComplaint("Q", 0, 1)])
+        expected = RainDebugger(db, "m", X, y, [case], method="auto", rng=0)
+        expected = expected.choose_method()
+
+        class JumpingClock:
+            """Every read is 11 s after the previous one."""
+
+            def __init__(self):
+                self.now = 0.0
+
+            def perf_counter(self):
+                self.now += 11.0
+                return self.now
+
+        monkeypatch.setattr(solver, "time", JumpingClock())
+        debugger = RainDebugger(db, "m", X, y, [case], method="auto", rng=0)
+        assert debugger.choose_method() == expected
 
     def test_infloss_runs_small(self, debug_setting):
         db, model, X, y, corrupted, case = debug_setting

@@ -7,6 +7,7 @@ from repro.complaints import PredictionComplaint, TupleComplaint, ValueComplaint
 from repro.errors import ILPError
 from repro.ilp import TiresiasEncoder, enumerate_optima, solve
 from repro.relational import Database, Executor, Relation, plan_sql
+from tests.oracles.tree_lineage import tree_view
 
 
 @pytest.fixture()
@@ -46,7 +47,7 @@ class TestCountComplaints:
         )
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
-        poly = count_result.cell_polynomial(0, "count")
+        poly = tree_view(count_result).cell_polynomial(0, "count")
         assert poly.evaluate(targets) == pytest.approx(target)
 
     def test_inequality_complaint(self, count_result):
@@ -106,7 +107,7 @@ class TestTupleComplaints:
         encoder.add_complaint(TupleComplaint(row_index=0))
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
-        condition = join_result.tuple_condition(0)
+        condition = tree_view(join_result).tuple_condition(0)
         assert not condition.evaluate(targets)
         assert solution.objective >= 1.0
 
@@ -119,7 +120,7 @@ class TestTupleComplaints:
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
         for i in range(n):
-            assert not join_result.tuple_condition(i).evaluate(targets)
+            assert not tree_view(join_result).tuple_condition(i).evaluate(targets)
 
 
 class TestAvgComplaints:
@@ -135,7 +136,7 @@ class TestAvgComplaints:
         )
         solution = solve(encoder.program)
         targets = encoder.solution_targets(solution)
-        poly = result.cell_polynomial(0, "avg")
+        poly = tree_view(result).cell_polynomial(0, "avg")
         assert poly.evaluate(targets) == pytest.approx(target)
         assert solution.objective == pytest.approx(2.0)
 

@@ -1,14 +1,17 @@
-"""Compiled-vs-tree ILP encode equivalence on fig6-shaped join plans.
+"""Array-vs-tree ILP encode equivalence on fig6-shaped join plans.
 
-The array-native :class:`CompiledILPEncoder` must produce the *same
-program* as the tree-walking golden reference — same variables in the
+The array encoder :class:`~repro.ilp.encode.TiresiasEncoder` must produce
+the *same program* as the tree-walking oracle
+(:class:`tests.oracles.tree_encoder.TreeEncoder`) — same variables in the
 same order, same constraint rows with the same coefficient order and
 right-hand sides — because constraint/variable order changes which tied
 optimum the solver enumerates first, and TwoStep removal orders must be
-bit-identical whichever encoder builds the program.  A seeded generator samples
-AND/OR-heavy predicates over an L ⋈ R equi-join (the MNIST-join shape of
-the paper's Figure 6) under selection / COUNT / grouped SUM-AVG shapes,
-and every sampled plan must agree on four levels:
+bit-identical whichever encoder builds the program.  A seeded generator
+samples AND/OR-heavy predicates over an L ⋈ R equi-join (the MNIST-join
+shape of the paper's Figure 6) under selection / COUNT / grouped SUM-AVG
+shapes, plus SUM/AVG over ``predict()`` (global and grouped, with and
+without a ``WHERE`` on predictions), and every sampled plan must agree on
+four levels:
 
 - the emitted :class:`BinaryProgram` (exact, up to variable *names*);
 - feasibility verdicts on sampled 0/1 assignments;
@@ -20,17 +23,19 @@ side's outcome (optima or typed failure) is a function of the program
 alone and identical programs must produce identical traces.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.complaints import ComplaintCase, TupleComplaint, ValueComplaint
-from repro.core import rankers
 from repro.core.rain import RainDebugger
-from repro.experiments.ilp_encode import _optima_trace
-from repro.ilp import CompiledILPEncoder, TiresiasEncoder, make_encoder
+from repro.errors import ILPError
+from repro.ilp import TiresiasEncoder
 from repro.relational import (
     Aggregate,
     AggSpec,
+    Arith,
     BoolAnd,
     BoolNot,
     BoolOr,
@@ -45,7 +50,8 @@ from repro.relational import (
     Relation,
     Scan,
 )
-from tests.oracles.tree_provenance import TreeExecutor
+from tests.oracles.tree_encoder import TreeEncoder, optima_trace, program_signature
+from tests.oracles.tree_provenance import tree_reference
 
 SEEDS = list(range(8))
 # Per-solve branch & bound node budget for the parity checks.  Seeds 0-2,
@@ -194,18 +200,6 @@ def complaints_for(rng, result, shape):
     return out
 
 
-def program_signature(program):
-    return (
-        program.n_vars,
-        tuple(sorted(program.objective.items())),
-        program.objective_constant,
-        tuple(
-            (constraint.sense, constraint.rhs, tuple(constraint.coeffs))
-            for constraint in program.constraints
-        ),
-    )
-
-
 def build_encoders(join_db, seed):
     rng = np.random.default_rng(seed)
     plan, shape = random_plan(rng)
@@ -213,8 +207,8 @@ def build_encoders(join_db, seed):
     complaints = complaints_for(rng, result, shape)
     if not complaints:
         pytest.skip("sampled plan produced an empty relation")
-    tree = TiresiasEncoder(result)
-    compiled = CompiledILPEncoder(result)
+    tree = TreeEncoder(result)
+    compiled = TiresiasEncoder(result)
     for complaint in complaints:
         tree.add_complaint(complaint)
         compiled.add_complaint(complaint)
@@ -251,9 +245,9 @@ class TestCompiledVsTreeProgram:
 
     def test_identical_optima_enumeration(self, join_db, seed):
         tree, compiled, _ = build_encoders(join_db, seed)
-        assert _optima_trace(
+        assert optima_trace(
             tree.program, max_solutions=8, node_limit=PARITY_NODE_LIMIT
-        ) == _optima_trace(
+        ) == optima_trace(
             compiled.program, max_solutions=8, node_limit=PARITY_NODE_LIMIT
         )
 
@@ -269,7 +263,7 @@ class TestCrossComplaintDedup:
             plan, _ = random_plan(rng)
         count = float(result.relation.column("count")[0])
         total = float(result.relation.column("total")[0])
-        encoder = CompiledILPEncoder(result)
+        encoder = TiresiasEncoder(result)
         encoder.add_complaint(
             ValueComplaint(column="count", op="<=", value=count - 1.0, row_index=0)
         )
@@ -282,33 +276,10 @@ class TestCrossComplaintDedup:
         assert created_first > 0
         assert encoder.aux_reused > 0
 
-    def test_tree_fallback_shares_cache_with_compiled_path(self, join_db):
-        rng = np.random.default_rng(5)
-        plan, _ = random_plan(rng)
-        while True:
-            result = Executor(join_db).execute(plan, debug=True)
-            if result.groups is not None and len(result.relation) >= 1:
-                break
-            plan, _ = random_plan(rng)
-        count = float(result.relation.column("count")[0])
-        tree = TiresiasEncoder(result)
-        compiled = CompiledILPEncoder(result)
-        complaint = ValueComplaint(
-            column="count", op="<=", value=count - 1.0, row_index=0
-        )
-        tree.add_complaint(complaint)
-        compiled.add_complaint(complaint)
-        # Forcing the same complaint through the inherited tree walk on
-        # the compiled encoder must hit the shared node-id cache instead
-        # of allocating a second set of aux variables.
-        before = compiled.program.n_vars
-        TiresiasEncoder.add_complaint(compiled, complaint)
-        assert compiled.program.n_vars == before
-
 
 class TestTwoStepRemovalOrders:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_identical_removal_orders(self, join_db, seed, monkeypatch):
+    def test_identical_removal_orders(self, join_db, seed):
         rng = np.random.default_rng(seed)
         while True:
             plan, shape = random_plan(rng)
@@ -322,88 +293,197 @@ class TestTwoStepRemovalOrders:
         X = join_db.relation("L").column("features")
         model = join_db.model("m")
 
-        def run_with(encoder_cls):
-            # make_encoder picks the compiled encoder for compiled results;
-            # patching the name TwoStep looks up swaps in the tree walk.
-            monkeypatch.setattr(rankers, "make_encoder", encoder_cls)
+        def run_with(path):
             rng_fit = np.random.default_rng(100 + seed)
             n, d = 40, 4
             X_train = rng_fit.normal(size=(n, d))
             y_train = (X_train @ np.asarray([1.5, -2.0, 0.5, 0.0]) > 0).astype(int)
             params = model.get_params()
             try:
-                debugger = RainDebugger(
-                    join_db,
-                    "m",
-                    X_train,
-                    y_train,
-                    [case],
-                    method="twostep",
-                    rng=seed,
-                    ranker_kwargs={
-                        "ambiguity_cap": 5,
-                        "node_limit": PARITY_NODE_LIMIT,
-                        "time_limit": None,
-                    },
-                )
-                report = debugger.run(max_removals=6, k_per_iteration=2)
-                return list(report.removal_order)
+                with path():
+                    debugger = RainDebugger(
+                        join_db,
+                        "m",
+                        X_train,
+                        y_train,
+                        [case],
+                        method="twostep",
+                        rng=seed,
+                        ranker_kwargs={
+                            "ambiguity_cap": 5,
+                            "node_limit": PARITY_NODE_LIMIT,
+                            "time_limit": None,
+                        },
+                    )
+                    report = debugger.run(max_removals=6, k_per_iteration=2)
+                    return list(report.removal_order)
             finally:
                 model.set_params(params)
 
-        assert run_with(TiresiasEncoder) == run_with(CompiledILPEncoder)
+        assert run_with(tree_reference) == run_with(contextlib.nullcontext)
         assert X.shape[1] == 4
 
 
-class TestMakeEncoder:
-    def test_make_encoder_dispatch(self, join_db):
-        rng = np.random.default_rng(1)
-        plan, _ = random_plan(rng)
-        executor = Executor(join_db)
-        compiled_result = executor.execute(plan, debug=True)
-        tree_result = TreeExecutor(executor.database).execute(plan)
-        assert isinstance(make_encoder(compiled_result), CompiledILPEncoder)
-        # Tree-mode results have no pool: always the tree walk.
-        encoder = make_encoder(tree_result)
-        assert type(encoder) is TiresiasEncoder
+# -- SUM / AVG over predict() --------------------------------------------------
+
+MODEL_VALUED_SHAPES = [
+    (scope, where)
+    for scope in ("global", "grouped")
+    for where in ("where_predict", "no_where")
+]
 
 
-class TestAuxCacheKeying:
-    def test_cache_pins_expressions_against_id_reuse(self, join_db):
-        """The aux cache must key unregistered exprs by pinned identity.
+def model_valued_plan(rng, scope, where):
+    """SUM/AVG of predictions over the join, optionally under a WHERE on them."""
+    joined = Join(
+        Scan("L", "L"), Scan("R", "R"), Cmp("=", Col("L.key"), Col("R.key"))
+    )
+    if where == "where_predict":
+        source = Filter(joined, random_predicate(rng, int(rng.integers(1, 3))))
+    else:
+        source = Filter(
+            joined, Cmp("<", Col("R.weight"), Const(float(rng.uniform(1.2, 2.0))))
+        )
+    aggregates = [
+        AggSpec("count", None, "count"),
+        AggSpec("sum", ModelPredict("m", Col("L.features")), "psum"),
+        AggSpec("avg", ModelPredict("m", Col("R.features")), "pavg"),
+    ]
+    group_by = ((Col("L.key"), "key"),) if scope == "grouped" else ()
+    return Aggregate(source, group_by, aggregates)
 
-        The old ``id(expr)`` keys did not keep the expression alive, so a
-        garbage-collected subtree could hand its id to a structurally
-        different one and silently merge the two.  ``_ExprKey`` holds a
-        strong reference: as long as a cache entry exists, its id cannot
-        be recycled.
-        """
-        import repro.relational.provenance as prov
 
-        from repro.ilp.encode import _ExprKey
+def model_valued_complaints(result):
+    out = []
+    for row in range(min(2, len(result.relation))):
+        psum = float(result.relation.column("psum")[row])
+        pavg = float(np.nan_to_num(result.relation.column("pavg")[row]))
+        count = float(result.relation.column("count")[row])
+        out.append(
+            ValueComplaint(column="psum", op=">=", value=psum + 1.0, row_index=row)
+        )
+        out.append(
+            ValueComplaint(column="pavg", op="<=", value=pavg - 0.1, row_index=row)
+        )
+        out.append(
+            ValueComplaint(column="count", op="<=", value=count - 1.0, row_index=row)
+        )
+    return out
 
-        a = prov.and_(prov.PredIs(0, 1), prov.PredIs(1, 1))
-        b = prov.and_(prov.PredIs(0, 1), prov.PredIs(1, 1))
-        assert _ExprKey(a) == _ExprKey(a)
-        assert hash(_ExprKey(a)) == hash(_ExprKey(a))
-        # Structurally equal but distinct objects stay distinct keys.
-        assert _ExprKey(a) != _ExprKey(b)
-        cache = {_ExprKey(a): "affine"}
-        assert cache.get(_ExprKey(a)) == "affine"
-        key = next(iter(cache))
-        assert key.expr is a  # strong reference pins the object
 
-    def test_pool_materialized_exprs_key_by_node_id(self, join_db):
-        rng = np.random.default_rng(2)
-        plan, shape = random_plan(rng)
-        result = Executor(join_db).execute(plan, debug=True)
-        if len(result.relation) == 0:
-            pytest.skip("sampled plan produced an empty relation")
-        encoder = TiresiasEncoder(result)
-        if result.groups is not None:
-            condition = result.groups[0].condition
+def build_model_valued_encoders(join_db, scope, where, seed):
+    rng = np.random.default_rng(1000 + seed)
+    result = Executor(join_db).execute(
+        model_valued_plan(rng, scope, where), debug=True
+    )
+    complaints = model_valued_complaints(result)
+    if not complaints:
+        pytest.skip("sampled plan produced an empty relation")
+    tree = TreeEncoder(result)
+    compiled = TiresiasEncoder(result)
+    for complaint in complaints:
+        tree.add_complaint(complaint)
+        compiled.add_complaint(complaint)
+    return tree, compiled
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("scope,where", MODEL_VALUED_SHAPES)
+class TestModelValuedAggregates:
+    def test_identical_program(self, join_db, scope, where, seed):
+        tree, compiled = build_model_valued_encoders(join_db, scope, where, seed)
+        assert program_signature(tree.program) == program_signature(
+            compiled.program
+        )
+
+    def test_identical_optima_enumeration(self, join_db, scope, where, seed):
+        tree, compiled = build_model_valued_encoders(join_db, scope, where, seed)
+        assert optima_trace(
+            tree.program, max_solutions=8, node_limit=PARITY_NODE_LIMIT
+        ) == optima_trace(
+            compiled.program, max_solutions=8, node_limit=PARITY_NODE_LIMIT
+        )
+
+
+def _predict(side):
+    return ModelPredict("m", Col(f"{side}.features"))
+
+
+ARITH_ARGS = {
+    "times_const": lambda: Arith("*", _predict("L"), Const(2.0)),
+    "weight_times": lambda: Arith("*", Col("R.weight"), _predict("L")),
+    "minus": lambda: Arith("-", _predict("L"), _predict("R")),
+    "plus_const": lambda: Arith("+", _predict("L"), Const(0.5)),
+    "product": lambda: Arith("*", _predict("L"), _predict("R")),
+    "ratio": lambda: Arith("/", _predict("L"), Const(2.0)),
+}
+
+
+@pytest.mark.parametrize("func", ["sum", "avg"])
+@pytest.mark.parametrize("where", [False, True])
+@pytest.mark.parametrize("arg", sorted(ARITH_ARGS))
+def test_arithmetic_over_predict_matches_or_fails_like_the_tree(join_db, arg, where, func):
+    """Same program, or the same ILPError message for non-linear shapes."""
+    joined = Join(
+        Scan("L", "L"), Scan("R", "R"), Cmp("=", Col("L.key"), Col("R.key"))
+    )
+    source = Filter(joined, Cmp("=", _predict("L"), Const(1))) if where else joined
+    plan = Aggregate(
+        source, ((Col("L.key"), "key"),), [AggSpec(func, ARITH_ARGS[arg](), "v")]
+    )
+    result = Executor(join_db).execute(plan, debug=True)
+    complaint = ValueComplaint(column="v", op=">=", value=1.0, row_index=0)
+    outcomes = []
+    for encoder_cls in (TreeEncoder, TiresiasEncoder):
+        encoder = encoder_cls(result)
+        try:
+            encoder.add_complaint(complaint)
+        except ILPError as exc:
+            outcomes.append(("ILPError", str(exc)))
         else:
-            condition = result.tuple_condition(0)
-        key = encoder._aux_key(condition)
-        assert isinstance(key, (int, np.integer))
-        assert result.pool.node_for_expr(condition) == key
+            outcomes.append(program_signature(encoder.program))
+    assert outcomes[0] == outcomes[1]
+
+
+DETERMINISTIC_SUM_WHERES = {
+    # a deterministically true WHERE: every member folds to a constant
+    "always": lambda: BoolOr(
+        [
+            Cmp("<", Col("R.weight"), Const(10.0)),
+            Cmp("=", _predict("L"), Const(1)),
+        ]
+    ),
+    # members split into constants (weight < 1.5) and cond × weight products
+    "partly_deterministic": lambda: BoolOr(
+        [
+            Cmp("<", Col("R.weight"), Const(1.5)),
+            Cmp("=", _predict("L"), Const(1)),
+        ]
+    ),
+    # AND conditions: weights ≠ 1 make fresh conjunctions, weights = 1 share
+    "conjunctive": lambda: BoolAnd(
+        [Cmp("=", _predict("L"), Const(1)), Cmp("=", _predict("R"), Const(0))]
+    ),
+}
+
+
+@pytest.mark.parametrize("func", ["sum", "avg"])
+@pytest.mark.parametrize("where", sorted(DETERMINISTIC_SUM_WHERES))
+def test_sum_over_column_matches_the_tree(join_db, where, func):
+    """SUM/AVG of a column over members that fold to constants or products."""
+    source = Join(
+        Scan("L", "L"), Scan("R", "R"), Cmp("=", Col("L.key"), Col("R.key"))
+    )
+    plan = Aggregate(
+        Filter(source, DETERMINISTIC_SUM_WHERES[where]()), ((Col("L.key"), "key"),), [AggSpec(func, Col("R.weight"), "v")]
+    )
+    result = Executor(join_db).execute(plan, debug=True)
+    complaints = [
+        ValueComplaint(column="v", op="<=", value=1.0, row_index=row)
+        for row in range(len(result.relation))
+    ]
+    tree = TreeEncoder(result)
+    compiled = TiresiasEncoder(result)
+    tree.add_complaints(complaints)
+    compiled.add_complaints(complaints)
+    assert program_signature(tree.program) == program_signature(compiled.program)

@@ -13,6 +13,7 @@ from repro.core import RainDebugger
 from repro.experiments import build_dblp_setting, compare_methods, execute_sql
 from repro.experiments.mnist_common import build_count_setting, build_join_setting
 from repro.experiments.table3_auccr import build_enron_setting
+from tests.oracles.tree_lineage import complaint_condition
 
 
 class TestDBLPPipeline:
@@ -142,5 +143,5 @@ class TestTupleComplaintEndToEnd:
         key = (int(result.relation.column("predict(*)")[0]),)
         complaint = TupleComplaint(group_key=key)
         assert not complaint.is_satisfied(result)
-        condition = complaint.condition(result)
+        condition = complaint_condition(complaint, result)
         assert len(condition.atoms()) > 0

@@ -27,8 +27,10 @@ from repro.complaints.complaint import (
     ValueComplaint,
 )
 from repro.errors import RelaxationError
-from repro.relational import provenance as prov
 from repro.relaxation.objective import RelaxedComplaintObjective
+
+from . import tree_expr as prov
+from .tree_lineage import complaint_condition, complaint_polynomial, tree_is_satisfied
 
 
 class InterpretedObjective(RelaxedComplaintObjective):
@@ -56,14 +58,14 @@ class InterpretedObjective(RelaxedComplaintObjective):
 
     def _complaint_term(self, complaint, P: np.ndarray) -> tuple[float, np.ndarray]:
         if isinstance(complaint, ValueComplaint):
-            poly = complaint.polynomial(self.result)
-            if complaint.op in ("<=", ">=") and complaint.is_satisfied(self.result):
+            poly = complaint_polynomial(complaint, self.result)
+            if complaint.op in ("<=", ">=") and tree_is_satisfied(complaint, self.result):
                 return 0.0, np.zeros_like(P)
             relaxed, pgrad = self.relaxer.value_and_grad(poly, P)
             residual = relaxed - complaint.value
             return residual**2, 2.0 * residual * pgrad
         if isinstance(complaint, TupleComplaint):
-            condition = complaint.condition(self.result)
+            condition = complaint_condition(complaint, self.result)
             relaxed, pgrad = self.relaxer.value_and_grad(condition, P)
             return relaxed**2, 2.0 * relaxed * pgrad
         if isinstance(complaint, PredictionComplaint):

@@ -2,19 +2,20 @@
 
 Test oracle only.  :class:`TreeExecutor` reruns a plan in debug mode the
 way the seed did: every intermediate tuple carries its existence
-condition as a :class:`~repro.relational.provenance.BoolExpr` tree built
+condition as a :class:`~tests.oracles.tree_expr.BoolExpr` tree built
 row by row, every aggregate cell a ``NumExpr`` polynomial, and the
 prediction cache and inference-site registry are probed one row at a
-time.  Its :class:`~repro.relational.executor.QueryResult` objects carry
-no node pool, so the tree-walking consumers take over downstream:
-complaint ``is_satisfied``, :class:`~repro.ilp.encode.TiresiasEncoder`
-(which ``make_encoder`` picks for pool-less results) and the interpreted
+time.  Its :class:`~tests.oracles.tree_lineage.TreeQueryResult` objects
+carry no node pool, so only tree-walking consumers can read them: the
+tree complaint checks of :mod:`tests.oracles.tree_lineage`, the tree
+encoder of :mod:`tests.oracles.tree_encoder` and the interpreted
 objective of :mod:`tests.oracles.relaxed_objective`.
 
-:func:`tree_reference` swaps this runtime into the whole train-rank-fix
-loop; every whole-loop tree replay goes through it.  :func:`lower_exprs`
-lowers trees into a :class:`~repro.relational.compile.NodePool` so the
-compiled sweeps can be compared against tree evaluation node for node.
+:func:`tree_reference` swaps this runtime and those consumers into the
+whole train-rank-fix loop; every whole-loop tree replay goes through it.
+:func:`lower_exprs` lowers trees into a
+:class:`~repro.relational.compile.NodePool` so the compiled sweeps can be
+compared against tree evaluation node for node.
 
 Import it as ``tests.oracles.tree_provenance``: ``pytest.ini`` puts the
 repo root on ``sys.path`` so ``tests/`` and ``benchmarks/`` share one
@@ -31,7 +32,6 @@ import pytest
 
 from repro.core import rain, rankers
 from repro.errors import ProvenanceError, QueryError, SchemaError, UnsupportedQueryError
-from repro.relational import provenance as prov
 from repro.relational.algebra import Aggregate, AggSpec, Plan, Project, Scan
 from repro.relational.compile import (
     FALSE_NODE,
@@ -49,7 +49,6 @@ from repro.relational.context import QueryRuntime, TupleBatch
 from repro.relational.executor import (
     ExecutionCache,
     Executor,
-    GroupInfo,
     QueryResult,
     _key_sort_token,
 )
@@ -66,7 +65,10 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import Relation
 
+from . import tree_expr as prov
 from .relaxed_objective import _children, interpreted_case_objectives
+from .tree_encoder import make_tree_encoder
+from .tree_lineage import TreeGroupInfo, TreeQueryResult, all_satisfied_tree
 
 # -- symbolic expressions, one BoolExpr / NumExpr per tuple ----------------------
 
@@ -342,6 +344,10 @@ class TreeBatch(TupleBatch):
     def with_columns(self, columns, alias_row_ids, conditions) -> "TreeBatch":
         return TreeBatch(columns, self.alias_relations, alias_row_ids, conditions)
 
+    @property
+    def conditions(self) -> list[prov.BoolExpr]:
+        return self._conditions
+
     def condition(self, index: int) -> prov.BoolExpr:
         return self._conditions[index]
 
@@ -397,7 +403,7 @@ class TreeExecutor(Executor):
             concrete.columns if concrete.columns else {"__empty__": np.zeros(0)},
             row_ids=np.arange(len(concrete)),
         )
-        return QueryResult(
+        return TreeQueryResult(
             relation=relation,
             runtime=runtime,
             candidate_batch=batch,
@@ -452,13 +458,13 @@ class TreeExecutor(Executor):
         agg_values = self._aggregate_arguments(plan.aggregates, batch, runtime)
 
         group_order = sorted(membership.keys(), key=_key_sort_token)
-        group_infos: list[GroupInfo] = []
+        group_infos: list[TreeGroupInfo] = []
         for key in group_order:
             members = membership[key]
             condition = prov.or_(*[cond for _, cond in members]) if members else prov.FALSE
             if not plan.group_by:
                 condition = prov.TRUE  # a global aggregate row always exists
-            info = GroupInfo(key=key, condition=condition)
+            info = TreeGroupInfo(key=key, condition=condition)
             for position, spec in enumerate(plan.aggregates):
                 info.cell_polys[spec.name] = _aggregate_polynomial(
                     spec, position, members, agg_values
@@ -484,8 +490,10 @@ class TreeExecutor(Executor):
                 out_cells[spec.name].append(
                     info.cell_polys[spec.name].evaluate(assignment)
                 )
-        return self._build_output(
-            plan, key_names, out_keys, out_cells, runtime, group_infos, out_rows
+        return TreeQueryResult.of(
+            self._build_output(
+                plan, key_names, out_keys, out_cells, runtime, group_infos, out_rows
+            )
         )
 
     def _aggregate_arguments(
@@ -538,15 +546,6 @@ class TreeExecutionCache(ExecutionCache):
         return self.executor.execute(plan, debug=True)
 
 
-def all_satisfied_tree(case_results) -> bool:
-    """The complaint drain as a per-complaint tree walk."""
-    return all(
-        complaint.is_satisfied(result)
-        for case, result in case_results
-        for complaint in case.complaints
-    )
-
-
 @contextmanager
 def tree_reference():
     """Run every :class:`~repro.core.rain.RainDebugger` on the tree reference.
@@ -554,13 +553,16 @@ def tree_reference():
     Inside the block the loop executes through :class:`TreeExecutor`
     (one execution per case, no plan dedup), drains complaints by tree
     walk, ranks Holistic with the interpreted objective and encodes
-    TwoStep with the tree encoder.  Removal orders, per-iteration records
-    and fitted parameters must equal the library loop's.
+    TwoStep (and the ``auto`` probe) with the tree encoder.  Removal
+    orders, per-iteration records and fitted parameters must equal the
+    library loop's.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rain, "Executor", TreeExecutor)
         patch.setattr(rain, "ExecutionCache", TreeExecutionCache)
         patch.setattr(rain, "all_satisfied_columnar", all_satisfied_tree)
+        patch.setattr(rain, "make_encoder", make_tree_encoder)
+        patch.setattr(rankers, "make_encoder", make_tree_encoder)
         patch.setattr(rankers, "batched_case_objectives", interpreted_case_objectives)
         yield
 
@@ -606,20 +608,16 @@ def _lower_one(pool: NodePool, node, memo: dict[int, int]) -> int:
     if isinstance(node, prov.PredIs):
         return pool.atom(node.site_id, node.label)
     if isinstance(node, prov.NotExpr):
-        return pool._append_scalar(
-            OP_NOT, children=(memo[id(node.child)],), is_bool=True
-        )
+        return pool._append_scalar(OP_NOT, children=(memo[id(node.child)],))
     if isinstance(node, prov.AndExpr):
         return pool._append_scalar(
             OP_AND,
             children=[memo[id(child)] for child in node.children],
-            is_bool=True,
         )
     if isinstance(node, prov.OrExpr):
         return pool._append_scalar(
             OP_OR,
             children=[memo[id(child)] for child in node.children],
-            is_bool=True,
         )
     if isinstance(node, prov.ConstNum):
         return pool._append_scalar(OP_CONST, value=node.value)

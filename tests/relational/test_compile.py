@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ProvenanceError, RelaxationError
-from repro.relational import provenance as prov
 from repro.relational.compile import (
     FALSE_NODE,
     TRUE_NODE,
     CompiledProvenance,
     NodePool,
 )
+from tests.oracles import tree_expr as prov
 from tests.oracles.relaxed_objective import Relaxer
+from tests.oracles.tree_lineage import to_expr
 from tests.oracles.tree_provenance import lower_expr, lower_exprs
 
 N_SITES = 8
@@ -107,7 +108,7 @@ class TestRandomizedEquivalence:
             expr = random_num(rng, 3)
             pool = NodePool()
             root = lower_expr(pool, expr)
-            back = pool.to_expr(root)
+            back = to_expr(pool, root)
             assignment = random_assignment(rng)
             want = float(expr.evaluate(assignment))
             got = float(back.evaluate(assignment))
@@ -119,8 +120,8 @@ class TestRandomizedEquivalence:
     def test_materialized_trees_are_shared_objects(self):
         pool = NodePool()
         atom = pool.atom(0, 1)
-        first = pool.to_expr(atom)
-        second = pool.to_expr(atom)
+        first = to_expr(pool, atom)
+        second = to_expr(pool, atom)
         assert first is second
 
 
@@ -155,7 +156,7 @@ class TestBuilders:
         assert out[1] == FALSE_NODE
         assert out[2] == atoms[0]
         assert out[3] == FALSE_NODE
-        tree = pool.to_expr(int(out[4]))
+        tree = to_expr(pool, int(out[4]))
         assert isinstance(tree, prov.OrExpr)
 
     def test_not_folds_double_negation(self):
@@ -178,7 +179,7 @@ class TestBuilders:
         out = pool.add_segments(
             np.empty(0), np.empty(0, dtype=np.int64), np.asarray([0, 0])
         )
-        tree = pool.to_expr(int(out[0]))
+        tree = to_expr(pool, int(out[0]))
         assert isinstance(tree, prov.LinearSum)
         assert tree.evaluate({}) == 0.0
         program = CompiledProvenance(pool, out)

@@ -29,6 +29,7 @@ from repro.relational import (
     Scan,
 )
 from tests.oracles.relaxed_objective import Relaxer
+from tests.oracles.tree_lineage import tree_view
 from tests.oracles.tree_provenance import TreeExecutor
 
 
@@ -168,7 +169,7 @@ class TestCompiledVsTree:
         P = rng.uniform(0.05, 0.95, size=(n_sites, 2))
         if compiled.is_aggregate:
             assert [g.key for g in compiled.groups] == [g.key for g in tree.groups]
-            for got, want in zip(compiled.groups, tree.groups):
+            for got, want in zip(tree_view(compiled).groups, tree.groups):
                 assert got.condition.evaluate(assignment) == want.condition.evaluate(
                     assignment
                 )
@@ -189,7 +190,7 @@ class TestCompiledVsTree:
             assert len(compiled.candidate_batch) == len(tree.candidate_batch)
             assert compiled.output_to_candidate == tree.output_to_candidate
             for index in range(len(tree.candidate_batch)):
-                got = compiled.candidate_conditions[index]
+                got = tree_view(compiled).candidate_conditions[index]
                 want = tree.candidate_conditions[index]
                 assert got.evaluate(assignment) == want.evaluate(assignment)
                 assert relaxer.value(got, P) == pytest.approx(
@@ -237,7 +238,7 @@ class TestColumnarJoin:
         assignment = tree.assignment()
         assert len(compiled.candidate_batch) == len(tree.candidate_batch)
         for index in range(len(tree.candidate_batch)):
-            assert compiled.candidate_conditions[index].evaluate(
+            assert tree_view(compiled).candidate_conditions[index].evaluate(
                 assignment
             ) == tree.candidate_conditions[index].evaluate(assignment)
 
@@ -350,7 +351,7 @@ class TestReferenceParityEdgeCases:
         assert len(compiled.candidate_batch) == len(tree.candidate_batch)
         assignment = tree.assignment()
         for index in range(len(tree.candidate_batch)):
-            assert compiled.candidate_conditions[index].evaluate(
+            assert tree_view(compiled).candidate_conditions[index].evaluate(
                 assignment
             ) == tree.candidate_conditions[index].evaluate(assignment)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError, UnsupportedQueryError
-from repro.relational import provenance as prov
 from repro.relational.context import QueryRuntime, TupleBatch
 from repro.relational.expressions import (
     Arith,
@@ -18,6 +17,7 @@ from repro.relational.expressions import (
     ModelPredict,
     predict,
 )
+from tests.oracles import tree_expr as prov
 from tests.oracles.tree_provenance import symbolic_bool, symbolic_num
 
 

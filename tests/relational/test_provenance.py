@@ -1,4 +1,9 @@
-"""Unit + property tests for provenance polynomials."""
+"""Unit + property tests for the provenance expression-tree oracle.
+
+The trees of ``tests/oracles/tree_expr.py`` are the semantics every
+array path is pinned to, so their constructors and evaluation are
+tested here; :class:`SiteRegistry` is the library's.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProvenanceError
-from repro.relational import provenance as prov
+from repro.relational.provenance import SiteRegistry
+from tests.oracles import tree_expr as prov
 
 
 class TestConstructors:
@@ -126,21 +132,21 @@ class TestNumeric:
 
 class TestSiteRegistry:
     def test_intern_dedupes(self):
-        registry = prov.SiteRegistry()
+        registry = SiteRegistry()
         a = registry.intern("m", "R", 5)
         b = registry.intern("m", "R", 5)
         assert a is b
         assert len(registry) == 1
 
     def test_distinct_keys_distinct_sites(self):
-        registry = prov.SiteRegistry()
+        registry = SiteRegistry()
         a = registry.intern("m", "R", 5)
         b = registry.intern("m", "S", 5)
         c = registry.intern("m2", "R", 5)
         assert len({a.site_id, b.site_id, c.site_id}) == 3
 
     def test_indexing(self):
-        registry = prov.SiteRegistry()
+        registry = SiteRegistry()
         site = registry.intern("m", "R", 0)
         assert registry[site.site_id] is site
         assert registry.sites == [site]

@@ -43,6 +43,7 @@ from repro.relational import (
 )
 from repro.relaxation import RelaxedComplaintObjective
 from tests.oracles.relaxed_objective import InterpretedObjective
+from tests.oracles.tree_lineage import tree_is_satisfied
 from tests.oracles.tree_provenance import TreeExecutor
 
 SEEDS = list(range(8))
@@ -233,5 +234,5 @@ class TestRandomizedCompiledVsTree:
 
         case = ComplaintCase(plan, complaints)
         assert all_satisfied_columnar([(case, compiled)]) == all(
-            complaint.is_satisfied(tree) for complaint in complaints
+            tree_is_satisfied(complaint, tree) for complaint in complaints
         )

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SQLSyntaxError, UnsupportedQueryError
 from repro.relational import Database, Executor, Relation, plan_sql
 from repro.relational.sql import parse
+from tests.oracles.tree_lineage import tree_view
 
 
 @pytest.fixture()
@@ -177,5 +178,5 @@ class TestExecution:
 
     def test_debug_mode_sql(self, db):
         result = run(db, "SELECT COUNT(*) FROM users WHERE predict(*) = 1", debug=True)
-        poly = result.cell_polynomial(0, "count")
+        poly = tree_view(result).cell_polynomial(0, "count")
         assert poly.evaluate(result.assignment()) == result.scalar("count")

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from repro.complaints import PredictionComplaint, TupleComplaint, ValueComplaint
 from repro.errors import RelaxationError
 from repro.relational import Database, Executor, Relation, plan_sql
-from repro.relational import provenance as prov
 from repro.relaxation import RelaxedComplaintObjective
+from tests.oracles import tree_expr as prov
 from tests.oracles.relaxed_objective import Relaxer
 
 
